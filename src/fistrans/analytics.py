@@ -16,10 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .costs import (
-    asym_quad_cubic_value,
-    quad_cubic_value,
-)
+from .costs import quad_cubic_value
 from .types import (
     BreakEvenSpec,
     DeltaVector,
@@ -95,12 +92,7 @@ class SavingsSeries:
 
 def adjustment_series(traj: Trajectory, p: RigidityParams) -> np.ndarray:
     """Per-year adjustment outlay along a trajectory (zero in year 0)."""
-    deltas = traj.deltas()
-    if p.is_asymmetric:
-        per_cat = asym_quad_cubic_value(deltas, p.gamma_up_array(), p.gamma_down_array(), p.eta_array())
-    else:
-        per_cat = quad_cubic_value(deltas, p.gamma_array(), p.eta_array())
-    return per_cat.sum(axis=1)
+    return quad_cubic_value(traj.deltas(), *p.gamma_pair(), p.eta_array()).sum(axis=1)
 
 
 def effective_expenditure(traj: Trajectory, p: RigidityParams) -> np.ndarray:
@@ -187,10 +179,7 @@ def savings_series(path: Sequence[float], spec: BreakEvenSpec) -> SavingsSeries:
     gross = spec.adjustable_base - arr
     steps = np.zeros_like(arr)
     steps[1:] = np.diff(arr)
-    if spec.is_asymmetric:
-        outlay = asym_quad_cubic_value(steps, spec.gamma_up, spec.gamma_down, spec.eta)
-    else:
-        outlay = quad_cubic_value(steps, spec.gamma, spec.eta)
+    outlay = quad_cubic_value(steps, *spec.gamma_pair(), spec.eta)
     net = gross - outlay
     cumulative = np.cumsum(net)
 

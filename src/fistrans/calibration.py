@@ -223,7 +223,7 @@ def asymmetric_variant(rigidity: RigidityParams, down_factor: float = ASYMMETRIC
         raise ValidationError("rigidity is already asymmetric")
     if down_factor < 1.0:
         raise ValidationError(f"down_factor must be >= 1, got {down_factor}")
-    gamma = rigidity.gamma_array()
+    gamma, _ = rigidity.gamma_pair()
     return RigidityParams(
         eta=rigidity.eta,
         gamma_up=tuple(gamma),

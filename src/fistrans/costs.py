@@ -4,13 +4,13 @@ The per-category adjustment cost is quadratic-cubic,
 
     phi_k(d) = gamma_k/2 * d^2 + eta_k/3 * |d|^3,
 
-so marginal costs rise sharply for large reallocations. The asymmetric
-variant splits the quadratic curvature into gamma_up (increases) and
-gamma_down (reductions). The allocation cost is quadratic in deviations
-from a target composition plus an optional quadratic penalty on total
-spending. Both families are convex and continuously differentiable,
-including at zero change: d|d| has derivative 2|d|, so the cubic term is
-smooth there with zero slope.
+so marginal costs rise sharply for large reallocations. gamma_k is
+gamma_up for increases and gamma_down for reductions; there is one kernel,
+and symmetric rigidity is the case gamma_up = gamma_down. The allocation
+cost is quadratic in deviations from a target composition plus an
+optional quadratic penalty on total spending. Both are convex and
+continuously differentiable, including at zero change: d|d| has
+derivative 2|d|, so the cubic term is smooth there with zero slope.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ __all__ = [
     "quad_cubic_value",
     "quad_cubic_marginal",
     "quad_cubic_curvature",
-    "asym_quad_cubic_value",
-    "asym_quad_cubic_marginal",
-    "asym_quad_cubic_curvature",
 ]
 
 
@@ -58,44 +55,39 @@ class CostEval:
         object.__setattr__(self, "gradient", grad)
 
 
-def quad_cubic_value(d, gamma, eta):
-    """Elementwise gamma/2 * d^2 + eta/3 * |d|^3."""
+def _gamma(d, gamma_up, gamma_down):
+    """The quadratic curvature that applies to each change: up for d > 0, down otherwise."""
+    return np.where(d > 0.0, gamma_up, gamma_down)
+
+
+def quad_cubic_value(d, gamma_up, gamma_down, eta):
+    """Elementwise gamma/2 * d^2 + eta/3 * |d|^3, gamma = gamma_up for d > 0, else gamma_down."""
     d = np.asarray(d, dtype=float)
-    return 0.5 * gamma * d * d + (np.asarray(eta) / 3.0) * np.abs(d) ** 3
+    return 0.5 * _gamma(d, gamma_up, gamma_down) * d * d + (np.asarray(eta) / 3.0) * np.abs(d) ** 3
 
 
-def quad_cubic_marginal(d, gamma, eta):
+def quad_cubic_marginal(d, gamma_up, gamma_down, eta):
     """Elementwise derivative gamma * d + eta * d * |d|."""
     d = np.asarray(d, dtype=float)
-    return gamma * d + eta * d * np.abs(d)
+    return _gamma(d, gamma_up, gamma_down) * d + eta * d * np.abs(d)
 
 
-def quad_cubic_curvature(d, gamma, eta):
-    """Elementwise second derivative gamma + 2 * eta * |d| (continuous at 0)."""
+def quad_cubic_curvature(d, gamma_up, gamma_down, eta):
+    """Elementwise second derivative gamma + 2 * eta * |d|; the kink at d = 0 takes the mean gamma."""
     d = np.asarray(d, dtype=float)
-    return gamma + 2.0 * eta * np.abs(d)
-
-
-def asym_quad_cubic_value(d, gamma_up, gamma_down, eta):
-    """Asymmetric value: gamma_up/2 * max(d,0)^2 + gamma_down/2 * max(-d,0)^2 + eta/3 * |d|^3."""
-    d = np.asarray(d, dtype=float)
-    up = np.maximum(d, 0.0)
-    dn = np.maximum(-d, 0.0)
-    return 0.5 * gamma_up * up * up + 0.5 * gamma_down * dn * dn + (np.asarray(eta) / 3.0) * np.abs(d) ** 3
-
-
-def asym_quad_cubic_marginal(d, gamma_up, gamma_down, eta):
-    """Asymmetric derivative: gamma_up * d for d > 0, gamma_down * d for d < 0, plus eta * d * |d|."""
-    d = np.asarray(d, dtype=float)
-    quad = np.where(d > 0.0, gamma_up * d, gamma_down * d)
-    return quad + eta * d * np.abs(d)
-
-
-def asym_quad_cubic_curvature(d, gamma_up, gamma_down, eta):
-    """Asymmetric second derivative; the quadratic kink at 0 takes the mean curvature."""
-    d = np.asarray(d, dtype=float)
-    quad = np.where(d > 0.0, gamma_up, np.where(d < 0.0, gamma_down, 0.5 * (np.asarray(gamma_up) + np.asarray(gamma_down))))
+    mean = 0.5 * (np.asarray(gamma_up) + np.asarray(gamma_down))
+    quad = np.where(d == 0.0, mean, _gamma(d, gamma_up, gamma_down))
     return quad + 2.0 * eta * np.abs(d)
+
+
+def adjustment_cost(d: DeltaVector, p: RigidityParams) -> CostEval:
+    """Adjustment cost of a change vector, with its gradient, in either rigidity mode."""
+    dv = d.as_array()
+    g_up, g_dn = p.gamma_pair()
+    eta = p.eta_array()
+    value = float(np.sum(quad_cubic_value(dv, g_up, g_dn, eta)))
+    grad = quad_cubic_marginal(dv, g_up, g_dn, eta)
+    return CostEval(value, grad)
 
 
 def phi(d: DeltaVector, p: RigidityParams) -> CostEval:
@@ -106,30 +98,14 @@ def phi(d: DeltaVector, p: RigidityParams) -> CostEval:
     """
     if p.is_asymmetric:
         raise ModeMismatchError("phi requires symmetric rigidity; use phi_asymmetric")
-    dv = d.as_array()
-    gamma = p.gamma_array()
-    eta = p.eta_array()
-    value = float(np.sum(quad_cubic_value(dv, gamma, eta)))
-    grad = quad_cubic_marginal(dv, gamma, eta)
-    return CostEval(value, grad)
+    return adjustment_cost(d, p)
 
 
 def phi_asymmetric(d: DeltaVector, p: RigidityParams) -> CostEval:
     """Asymmetric adjustment cost of a change vector, with its gradient."""
     if not p.is_asymmetric:
         raise ModeMismatchError("phi_asymmetric requires asymmetric rigidity; use phi")
-    dv = d.as_array()
-    g_up = p.gamma_up_array()
-    g_dn = p.gamma_down_array()
-    eta = p.eta_array()
-    value = float(np.sum(asym_quad_cubic_value(dv, g_up, g_dn, eta)))
-    grad = asym_quad_cubic_marginal(dv, g_up, g_dn, eta)
-    return CostEval(value, grad)
-
-
-def adjustment_cost(d: DeltaVector, p: RigidityParams) -> CostEval:
-    """Dispatch to the evaluator matching the parameter mode."""
-    return phi_asymmetric(d, p) if p.is_asymmetric else phi(d, p)
+    return adjustment_cost(d, p)
 
 
 def stage_cost(x: ExpenditureVector, spec: FiscalCostSpec) -> CostEval:

@@ -33,14 +33,7 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import optimize as sopt
 
-from .costs import (
-    asym_quad_cubic_curvature,
-    asym_quad_cubic_marginal,
-    asym_quad_cubic_value,
-    quad_cubic_curvature,
-    quad_cubic_marginal,
-    quad_cubic_value,
-)
+from .costs import quad_cubic_curvature, quad_cubic_marginal, quad_cubic_value
 from .types import (
     N_CATEGORIES,
     ExpenditureVector,
@@ -129,14 +122,8 @@ class _Problem:
         self.xstar = scenario.cost.target.as_array()
         self.w_total = scenario.cost.total_weight
         self.total_ref = scenario.cost.total_reference
-        p = scenario.rigidity
-        self.asym = p.is_asymmetric
-        if self.asym:
-            self.g_up = p.gamma_up_array()
-            self.g_dn = p.gamma_down_array()
-        else:
-            self.g_up = self.g_dn = p.gamma_array()
-        self.eta = p.eta_array()
+        self.g_up, self.g_dn = scenario.rigidity.gamma_pair()
+        self.eta = scenario.rigidity.eta_array()
         self.wT = config.terminal_weight
         self.anchor = stage_cost_minimizer(scenario)
         self.lo, self.hi = scenario.bounds_arrays()
@@ -145,19 +132,13 @@ class _Problem:
     # -- cost pieces over stacked arrays ------------------------------------
 
     def phi_values(self, d: np.ndarray) -> np.ndarray:
-        if self.asym:
-            return asym_quad_cubic_value(d, self.g_up, self.g_dn, self.eta).sum(axis=-1)
-        return quad_cubic_value(d, self.g_up, self.eta).sum(axis=-1)
+        return quad_cubic_value(d, self.g_up, self.g_dn, self.eta).sum(axis=-1)
 
     def phi_marginal(self, d: np.ndarray) -> np.ndarray:
-        if self.asym:
-            return asym_quad_cubic_marginal(d, self.g_up, self.g_dn, self.eta)
-        return quad_cubic_marginal(d, self.g_up, self.eta)
+        return quad_cubic_marginal(d, self.g_up, self.g_dn, self.eta)
 
     def phi_curvature(self, d: np.ndarray) -> np.ndarray:
-        if self.asym:
-            return asym_quad_cubic_curvature(d, self.g_up, self.g_dn, self.eta)
-        return quad_cubic_curvature(d, self.g_up, self.eta)
+        return quad_cubic_curvature(d, self.g_up, self.g_dn, self.eta)
 
     def stage_values(self, x: np.ndarray) -> np.ndarray:
         gap = x - self.xstar
@@ -425,8 +406,9 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
 
     history: List[float] = [problem.objective(d0)]
 
-    def _record(d_flat: np.ndarray) -> None:
-        history.append(problem.objective(d_flat.reshape(problem.T, N_CATEGORIES)))
+    def _record(intermediate_result: sopt.OptimizeResult) -> None:
+        # L-BFGS-B passes the objective it already evaluated at the new iterate.
+        history.append(intermediate_result.fun)
 
     bounds = None
     if problem.bounded:

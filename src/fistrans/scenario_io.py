@@ -295,6 +295,15 @@ def _parse(text: str, depth: int = 0) -> Tuple[Scenario, ScenarioFileInfo]:
     return scenario, ScenarioFileInfo(preset=preset_name, overrides=tuple(sorted(overrides)))
 
 
+def _check_gamma_keys(section_name: str, found: Dict[str, Tuple[object, int]]) -> None:
+    """A rigidity block sets gamma, or both gamma_up and gamma_down, never a mix."""
+    lineno = min((line for _, line in found.values()), default=1)
+    if "gamma" in found and ("gamma_up" in found or "gamma_down" in found):
+        raise ScenarioSyntaxError(f"[{section_name}] mixes gamma with gamma_up/gamma_down", lineno)
+    if ("gamma_up" in found) != ("gamma_down" in found):
+        raise ScenarioSyntaxError(f"[{section_name}] needs both gamma_up and gamma_down", lineno)
+
+
 def _parse_rigidity(
     sections: Dict[str, Dict[str, Tuple[object, int]]],
     base: RigidityParams,
@@ -308,44 +317,27 @@ def _parse_rigidity(
         found = sections[section_name]
         _reject_unknown(section_name, found, _RIGIDITY_KEYS)
         entries = {key: _take_number(entry, f"[{section_name}] {key}") for key, entry in found.items()}
-        lineno = min(line for _, line in found.values())
-        if "gamma" in entries and ("gamma_up" in entries or "gamma_down" in entries):
-            raise ScenarioSyntaxError(f"[{section_name}] mixes gamma with gamma_up/gamma_down", lineno)
-        if ("gamma_up" in entries) != ("gamma_down" in entries):
-            raise ScenarioSyntaxError(f"[{section_name}] needs both gamma_up and gamma_down", lineno)
+        _check_gamma_keys(section_name, found)
         per_cat[cat.key] = entries
         overrides.extend(f"{section_name}.{key}" for key in entries)
     if not per_cat:
         return base
 
-    asymmetric = base.is_asymmetric or any("gamma_up" in entries for entries in per_cat.values())
     eta = list(base.eta)
-    if asymmetric:
-        if base.is_asymmetric:
-            up = list(base.gamma_up)
-            down = list(base.gamma_down)
-        else:
-            up = list(base.gamma)
-            down = list(base.gamma)
-        for idx, cat in enumerate(CATEGORIES):
-            entries = per_cat.get(cat.key, {})
-            if "eta" in entries:
-                eta[idx] = entries["eta"]
-            if "gamma_up" in entries:
-                up[idx] = entries["gamma_up"]
-                down[idx] = entries["gamma_down"]
-            elif "gamma" in entries:
-                up[idx] = entries["gamma"]
-                down[idx] = entries["gamma"]
-        return RigidityParams(eta=tuple(eta), gamma_up=tuple(up), gamma_down=tuple(down))
-    gamma = list(base.gamma)
+    up, down = (list(g) for g in base.gamma_pair())
     for idx, cat in enumerate(CATEGORIES):
         entries = per_cat.get(cat.key, {})
         if "eta" in entries:
             eta[idx] = entries["eta"]
-        if "gamma" in entries:
-            gamma[idx] = entries["gamma"]
-    return RigidityParams(gamma=tuple(gamma), eta=tuple(eta))
+        if "gamma_up" in entries:
+            up[idx] = entries["gamma_up"]
+            down[idx] = entries["gamma_down"]
+        elif "gamma" in entries:
+            up[idx] = down[idx] = entries["gamma"]
+    # One asymmetric category makes the whole block asymmetric.
+    if base.is_asymmetric or any("gamma_up" in entries for entries in per_cat.values()):
+        return RigidityParams(eta=tuple(eta), gamma_up=tuple(up), gamma_down=tuple(down))
+    return RigidityParams(gamma=tuple(up), eta=tuple(eta))
 
 
 def _parse_bounds(
@@ -386,15 +378,7 @@ def _parse_breakeven(
         return base
     found = sections["breakeven"]
     _reject_unknown("breakeven", found, _BREAKEVEN_KEYS)
-    has_sym = "gamma" in found
-    has_up = "gamma_up" in found
-    has_dn = "gamma_down" in found
-    if found and (has_sym and (has_up or has_dn)):
-        lineno = min(line for _, line in found.values())
-        raise ScenarioSyntaxError("[breakeven] mixes gamma with gamma_up/gamma_down", lineno)
-    if has_up != has_dn:
-        lineno = min(line for _, line in found.values())
-        raise ScenarioSyntaxError("[breakeven] needs both gamma_up and gamma_down", lineno)
+    _check_gamma_keys("breakeven", found)
 
     values: Dict[str, object] = {"gamma": None, "gamma_up": None, "gamma_down": None, "eta": 0.0}
     if base is not None:
@@ -415,10 +399,10 @@ def _parse_breakeven(
         else:
             values[key] = _take_number(entry, f"[breakeven] {key}")
         overrides.append(f"breakeven.{key}")
-    if has_sym:
+    if "gamma" in found:
         values["gamma_up"] = None
         values["gamma_down"] = None
-    elif has_up:
+    elif "gamma_up" in found:
         values["gamma"] = None
     missing = [k for k in ("reduction_fraction", "target_years") if values.get(k) is None]
     if missing:

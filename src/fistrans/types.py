@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,25 +75,39 @@ def _float4(values: Sequence[float], what: str, nonneg: bool = False) -> Tuple[f
     return vals  # type: ignore[return-value]
 
 
+def _check_rigidity_mode(gamma, gamma_up, gamma_down) -> None:
+    """A rigidity block is symmetric (gamma) or asymmetric (gamma_up and gamma_down), never both."""
+    if (gamma_up is None) != (gamma_down is None):
+        raise ValidationError("asymmetric rigidity requires both gamma_up and gamma_down")
+    if (gamma is None) == (gamma_up is None):
+        raise ValidationError("rigidity must be either symmetric (gamma) or asymmetric (gamma_up/gamma_down)")
+
+
 @dataclass(frozen=True)
-class ExpenditureVector:
-    """A four-category expenditure allocation, componentwise nonnegative."""
+class _Vector4:
+    """Four finite per-category floats in serialization order.
+
+    Subclasses set ``_what`` (the name in error messages) and ``_nonneg``.
+    """
 
     transfers: float
     wages: float
     investment: float
     operating: float
 
+    _what: ClassVar[str]
+    _nonneg: ClassVar[bool] = False
+
     def __post_init__(self) -> None:
-        vals = _float4(self.as_tuple(), "expenditure", nonneg=True)
+        vals = _float4(self.as_tuple(), self._what, nonneg=self._nonneg)
         for cat, v in zip(CATEGORIES, vals):
             object.__setattr__(self, cat.key, v)
 
     @classmethod
-    def from_array(cls, values: Sequence[float]) -> "ExpenditureVector":
+    def from_array(cls, values: Sequence[float]):
         vals = tuple(float(v) for v in np.asarray(values, dtype=float).ravel())
         if len(vals) != N_CATEGORIES:
-            raise ValidationError(f"expenditure vector needs {N_CATEGORIES} entries, got {len(vals)}")
+            raise ValidationError(f"{cls._what} vector needs {N_CATEGORIES} entries, got {len(vals)}")
         return cls(*vals)
 
     def as_tuple(self) -> Tuple[float, float, float, float]:
@@ -104,41 +118,23 @@ class ExpenditureVector:
 
     def get(self, category: Category) -> float:
         return getattr(self, category.key)
+
+
+class ExpenditureVector(_Vector4):
+    """A four-category expenditure allocation, componentwise nonnegative."""
+
+    _what = "expenditure"
+    _nonneg = True
 
     @property
     def total(self) -> float:
         return self.transfers + self.wages + self.investment + self.operating
 
 
-@dataclass(frozen=True)
-class DeltaVector:
+class DeltaVector(_Vector4):
     """A signed one-period change in each expenditure category."""
 
-    transfers: float
-    wages: float
-    investment: float
-    operating: float
-
-    def __post_init__(self) -> None:
-        vals = _float4(self.as_tuple(), "delta")
-        for cat, v in zip(CATEGORIES, vals):
-            object.__setattr__(self, cat.key, v)
-
-    @classmethod
-    def from_array(cls, values: Sequence[float]) -> "DeltaVector":
-        vals = tuple(float(v) for v in np.asarray(values, dtype=float).ravel())
-        if len(vals) != N_CATEGORIES:
-            raise ValidationError(f"delta vector needs {N_CATEGORIES} entries, got {len(vals)}")
-        return cls(*vals)
-
-    def as_tuple(self) -> Tuple[float, float, float, float]:
-        return (self.transfers, self.wages, self.investment, self.operating)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple(), dtype=float)
-
-    def get(self, category: Category) -> float:
-        return getattr(self, category.key)
+    _what = "delta"
 
 
 def total(x: ExpenditureVector) -> float:
@@ -148,12 +144,7 @@ def total(x: ExpenditureVector) -> float:
 
 def delta(x_curr: ExpenditureVector, x_prev: ExpenditureVector) -> DeltaVector:
     """Componentwise one-period change x_curr - x_prev."""
-    return DeltaVector(
-        x_curr.transfers - x_prev.transfers,
-        x_curr.wages - x_prev.wages,
-        x_curr.investment - x_prev.investment,
-        x_curr.operating - x_prev.operating,
-    )
+    return DeltaVector.from_array(x_curr.as_array() - x_prev.as_array())
 
 
 @dataclass(frozen=True)
@@ -173,40 +164,24 @@ class RigidityParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eta", _float4(self.eta, "eta", nonneg=True))
-        has_sym = self.gamma is not None
-        has_up = self.gamma_up is not None
-        has_dn = self.gamma_down is not None
-        if has_up != has_dn:
-            raise ValidationError("asymmetric rigidity requires both gamma_up and gamma_down")
-        if has_sym == has_up:
-            raise ValidationError("rigidity must be either symmetric (gamma) or asymmetric (gamma_up/gamma_down)")
-        if has_sym:
-            object.__setattr__(self, "gamma", _float4(self.gamma, "gamma", nonneg=True))
-        else:
-            object.__setattr__(self, "gamma_up", _float4(self.gamma_up, "gamma_up", nonneg=True))
-            object.__setattr__(self, "gamma_down", _float4(self.gamma_down, "gamma_down", nonneg=True))
+        _check_rigidity_mode(self.gamma, self.gamma_up, self.gamma_down)
+        for name in ("gamma", "gamma_up", "gamma_down"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _float4(getattr(self, name), name, nonneg=True))
 
     @property
     def is_asymmetric(self) -> bool:
         return self.gamma is None
 
-    def gamma_array(self) -> np.ndarray:
+    def gamma_pair(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Quadratic curvatures (for increases, for reductions); both are gamma when symmetric."""
         if self.is_asymmetric:
-            raise ModeMismatchError("asymmetric rigidity has no single gamma; use gamma_up/gamma_down")
-        return np.array(self.gamma, dtype=float)
+            return np.array(self.gamma_up, dtype=float), np.array(self.gamma_down, dtype=float)
+        gamma = np.array(self.gamma, dtype=float)
+        return gamma, gamma
 
     def eta_array(self) -> np.ndarray:
         return np.array(self.eta, dtype=float)
-
-    def gamma_up_array(self) -> np.ndarray:
-        if not self.is_asymmetric:
-            raise ModeMismatchError("symmetric rigidity has no gamma_up; use gamma")
-        return np.array(self.gamma_up, dtype=float)
-
-    def gamma_down_array(self) -> np.ndarray:
-        if not self.is_asymmetric:
-            raise ModeMismatchError("symmetric rigidity has no gamma_down; use gamma")
-        return np.array(self.gamma_down, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -332,13 +307,7 @@ class BreakEvenSpec:
         if not np.isfinite(eta) or eta < 0.0:
             raise ValidationError(f"eta must be nonnegative, got {eta}")
         object.__setattr__(self, "eta", eta)
-        has_sym = self.gamma is not None
-        has_up = self.gamma_up is not None
-        has_dn = self.gamma_down is not None
-        if has_up != has_dn:
-            raise ValidationError("asymmetric rigidity requires both gamma_up and gamma_down")
-        if has_sym == has_up:
-            raise ValidationError("rigidity must be either symmetric (gamma) or asymmetric (gamma_up/gamma_down)")
+        _check_rigidity_mode(self.gamma, self.gamma_up, self.gamma_down)
         for name in ("gamma", "gamma_up", "gamma_down"):
             v = getattr(self, name)
             if v is not None:
@@ -350,6 +319,12 @@ class BreakEvenSpec:
     @property
     def is_asymmetric(self) -> bool:
         return self.gamma is None
+
+    def gamma_pair(self) -> Tuple[float, float]:
+        """Quadratic curvatures (for increases, for reductions); both are gamma when symmetric."""
+        if self.is_asymmetric:
+            return self.gamma_up, self.gamma_down
+        return self.gamma, self.gamma
 
 
 @dataclass(frozen=True)

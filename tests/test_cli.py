@@ -109,6 +109,28 @@ def test_simulate_csv_bytes_are_stable(tmp_path, short_scenario_file):
     assert a.read_bytes() == b.read_bytes()
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "scenario_args, golden_name",
+    [
+        ([], "simulate_paper_default.csv"),
+        ([str(REPO_SCENARIOS / "admin_savings_a.scn")], "simulate_admin_savings_a.csv"),
+        ([str(GOLDEN / "asymmetric_variant.scn")], "simulate_asymmetric_variant.csv"),
+    ],
+)
+def test_simulate_csv_matches_golden_file(capsys, scenario_args, golden_name):
+    # Pins the CSV bytes, not the summary above them: iteration counts and
+    # roundoff-level norms are solver diagnostics a solver change may move,
+    # while the six-decimal series must stay byte-identical.
+    golden = (GOLDEN / golden_name).read_text(encoding="utf-8")
+    assert run_cli(["simulate", *scenario_args, "--out", "-"]) == EXIT_OK
+    out = capsys.readouterr().out
+    csv_start = out.index("t,T,W,I,F,")
+    assert out[csv_start:] == golden
+
+
 def test_simulate_from_preset_flag(capsys):
     assert run_cli(["simulate", "--preset", "paper-default"]) == EXIT_OK
     assert "scenario: paper-default" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -326,6 +327,18 @@ def test_asymmetric_rigidity_slows_reductions():
     cut_asym = rep_asym.trajectory.deltas()[1, 0]
     assert cut_sym < 0 and cut_asym < 0
     assert abs(cut_asym) < abs(cut_sym)
+
+
+def test_symmetric_rigidity_equals_asymmetric_with_equal_curvatures():
+    base = load_default_preset().scenario()
+    gamma = base.rigidity.gamma
+    twin = RigidityParams(eta=base.rigidity.eta, gamma_up=gamma, gamma_down=gamma)
+    for scen in (base, dataclasses.replace(base, horizon=12, delta_bounds=((-0.5, 0.5),) * 4)):
+        sym = solve(scen)
+        asym = solve(dataclasses.replace(scen, rigidity=twin))
+        assert np.array_equal(sym.trajectory.values, asym.trajectory.values)
+        assert sym.objective == asym.objective
+        assert sym.objective_history == asym.objective_history
 
 
 def test_solver_is_deterministic():

@@ -97,6 +97,11 @@ def test_mixed_rigidity_modes_in_one_section_rejected():
         parse_scenario("[rigidity.wages]\ngamma = 2.0\ngamma_up = 1.0\ngamma_down = 2.0\n")
     with pytest.raises(ScenarioSyntaxError, match="both gamma_up and gamma_down"):
         parse_scenario("[rigidity.wages]\ngamma_up = 1.0\n")
+    be = "[breakeven]\nreduction_fraction = 0.1\ntarget_years = 3\n"
+    with pytest.raises(ScenarioSyntaxError, match=r"line 3, .*\[breakeven\] mixes gamma"):
+        parse_scenario("beta = 0.9\n" + be + "gamma = 1.0\ngamma_down = 2.0\n")
+    with pytest.raises(ScenarioSyntaxError, match=r"line 3, .*\[breakeven\] needs both gamma_up and gamma_down"):
+        parse_scenario("beta = 0.9\n" + be + "gamma_up = 1.0\n")
 
 
 def test_bounds_parsing_single_sided():

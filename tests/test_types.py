@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,48 @@ def test_rigidity_requires_exactly_one_mode():
         RigidityParams(gamma=(1, 1, 1, 1), eta=(0, 0, 0, 0), gamma_up=(1, 1, 1, 1), gamma_down=(1, 1, 1, 1))
     with pytest.raises(ValidationError):
         RigidityParams(eta=(0, 0, 0, 0), gamma_up=(1, 1, 1, 1))
+
+
+def test_vectors_share_a_base_but_keep_their_messages():
+    with pytest.raises(ValidationError, match="expenditure vector needs 4 entries"):
+        ExpenditureVector.from_array([1.0, 2.0])
+    with pytest.raises(ValidationError, match="delta vector needs 4 entries"):
+        DeltaVector.from_array([1.0, 2.0, 3.0, 4.0, 5.0])
+    with pytest.raises(ValidationError, match=r"expenditure\[wages\] must be nonnegative"):
+        ExpenditureVector(1, -1, 1, 1)
+    with pytest.raises(ValidationError, match=r"delta\[operating\] must be finite"):
+        DeltaVector(0, 0, 0, np.inf)
+    assert DeltaVector(-1, 0, 0, 0).transfers == -1.0
+    assert ExpenditureVector(1, 2, 3, 4) != DeltaVector(1, 2, 3, 4)
+
+
+def test_rigidity_gamma_pair_in_both_modes():
+    sym = RigidityParams(gamma=(4, 3.5, 1.5, 1), eta=(0, 0, 0, 0))
+    up, down = sym.gamma_pair()
+    assert np.array_equal(up, [4.0, 3.5, 1.5, 1.0]) and np.array_equal(down, up)
+    asym = RigidityParams(eta=(0, 0, 0, 0), gamma_up=(1, 2, 3, 4), gamma_down=(5, 6, 7, 8))
+    up, down = asym.gamma_pair()
+    assert np.array_equal(up, [1.0, 2.0, 3.0, 4.0]) and np.array_equal(down, [5.0, 6.0, 7.0, 8.0])
+    # The pair is derived, not stored: the fields keep the mode and replace() still works.
+    for p in (sym, asym):
+        bumped = dataclasses.replace(p, eta=(0.1, 0.2, 0.3, 0.4))
+        assert bumped.eta == (0.1, 0.2, 0.3, 0.4)
+        assert bumped.is_asymmetric == p.is_asymmetric
+        assert all(np.array_equal(a, b) for a, b in zip(bumped.gamma_pair(), p.gamma_pair()))
+    assert sym.gamma_up is None and asym.gamma is None
+
+
+def test_breakeven_gamma_pair_in_both_modes():
+    sym = BreakEvenSpec(reduction_fraction=0.1, target_years=3, gamma=0.8, eta=0.05)
+    assert sym.gamma_pair() == (0.8, 0.8)
+    asym = BreakEvenSpec(reduction_fraction=0.1, target_years=3, gamma_up=0.8, gamma_down=1.2, eta=0.05)
+    assert asym.gamma_pair() == (0.8, 1.2)
+    for spec in (sym, asym):
+        bumped = dataclasses.replace(spec, eta=0.3)
+        assert bumped.eta == 0.3
+        assert bumped.is_asymmetric == spec.is_asymmetric
+        assert bumped.gamma_pair() == spec.gamma_pair()
+    assert sym.gamma_up is None and asym.gamma is None
 
 
 def test_rigidity_rejects_negative_curvature():
