@@ -9,19 +9,25 @@ adjustment costs over a fixed horizon,
 with x_0 fixed and the year-0 change set to zero. The quadratic terminal
 penalty anchors the final allocation at the long-run minimizer of C,
 bounding the bias from truncating the infinite sum. Decision variables are
-the per-year changes, which turns optional per-category change limits into
-plain box constraints.
+the allocations x_1..x_T. Each date couples only to its neighbours, through
+the change d_t = x_t - x_{t-1}, so the Hessian is block tridiagonal and a
+Newton step is one banded Cholesky solve (bandwidth 4), linear in T.
 
-The solve runs a projected quasi-Newton descent (L-BFGS-B) and then
-polishes the result with damped Newton steps (banded first-order system
-when unconstrained, two-metric projected Newton under change bounds)
-until the stationarity residuals sit far below the certification
-tolerance. Convergence is certified by both the projected gradient norm
-and the interior-date residuals
+Every scenario runs the same damped Newton loop with an Armijo line
+search. Optional per-category change limits lo_k <= d_{t,k} <= hi_k enter
+as primal-dual interior-point terms: each finite limit carries a slack and
+a multiplier per date, and their barrier marginal and curvature add to the
+adjustment cost's, so the band keeps its shape. A category frozen at
+(0, 0) has no interior and is pinned to its baseline by identity rows.
 
-    r_{t,k} = dC/dx_k (x_t) + phi'_k(d_t) - beta * phi'_k(d_{t+1}),
+Convergence is certified at every date by the current-value stationarity
+residuals, with multipliers for the change limits,
 
-which must vanish at an interior optimum for t = 1 .. T-1.
+    r_{t,k} = dC/dx_k (x_t) + m_k(d_t) - beta * m_k(d_{t+1}),
+    m_k(d) = phi'_k(d) - z^lo_k + z^hi_k,
+
+which vanish at the optimum (date T adds the anchor's pull instead of the
+next year's marginal), together with complementarity z * slack ~ 0.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import optimize as sopt
 
 from .costs import quad_cubic_curvature, quad_cubic_marginal, quad_cubic_value
 from .types import (
@@ -53,14 +58,27 @@ __all__ = [
 
 _GUESS_MODES = ("linear-ramp", "hold")
 
-# Newton polish drives interior residuals to this level, well below any
-# practical certification tolerance.
-_POLISH_TARGET = 1e-11
-_MAX_POLISH_STEPS = 60
 _ARMIJO_C1 = 1e-4
-# A change sitting within this distance of its bound is treated as active
-# when masking residuals for certification.
-_BOUND_ACTIVE_TOL = 1e-10
+_MAX_BACKTRACKS = 60
+# The loop stops once every current-value residual is below _DUAL_TOL and
+# every limit's complementarity s * min(z, 1) is below _COMP_TOL: the slack
+# itself where the multiplier is large, the product where it is small.
+_DUAL_TOL = 1e-10
+_COMP_TOL = 1e-10
+# Relative size of a Newton step that no longer moves the allocations.
+_ROUNDOFF = 1e-14
+# The barrier target is a tenth of the mean complementarity, or its 1.5th
+# power once that is smaller. Each limit's target is floored so that its
+# complementarity settles at half of _COMP_TOL instead of driving its slack
+# into roundoff, where z / s would swamp the rest of the band.
+_CENTERING = 0.1
+_COMP_FLOOR = 0.5 * _COMP_TOL
+_STEP_TO_BOUNDARY = 0.995
+# The first guess keeps this far inside finite change limits.
+_START_MARGIN = 1e-2
+# Relative ridge on the scaled band's diagonal (per date, beta^t times the
+# unscaled one), which keeps zero-weight, zero-curvature directions solvable.
+_RIDGE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,9 +112,12 @@ class SolverConfig:
 class SolveReport:
     """Solution trajectory plus the diagnostics that certify it.
 
-    ``converged`` holds only when the projected gradient norm meets the
-    gradient tolerance and the interior stationarity residuals (excluding
-    bound-active changes) meet the residual tolerance.
+    ``gradient_norm`` is the largest current-value stationarity residual
+    over every date 1..T and ``max_euler_residual`` the largest over the
+    interior dates 1..T-1, both with the change-limit multipliers.
+    ``converged`` holds only when the first meets the gradient tolerance,
+    the second meets the residual tolerance, and every change limit holds
+    with complementarity within the gradient tolerance.
     """
 
     converged: bool
@@ -112,7 +133,6 @@ class _Problem:
     """Arrays and callables for one scenario solve."""
 
     def __init__(self, scenario: Scenario, config: SolverConfig):
-        self.scenario = scenario
         self.config = config
         self.x0 = scenario.baseline.as_array()
         self.T = scenario.horizon
@@ -127,7 +147,9 @@ class _Problem:
         self.wT = config.terminal_weight
         self.anchor = stage_cost_minimizer(scenario)
         self.lo, self.hi = scenario.bounds_arrays()
-        self.bounded = scenario.delta_bounds is not None
+        self.frozen = self.lo == self.hi
+        self.has_lo = np.isfinite(self.lo) & ~self.frozen
+        self.has_hi = np.isfinite(self.hi) & ~self.frozen
 
     # -- cost pieces over stacked arrays ------------------------------------
 
@@ -150,76 +172,48 @@ class _Problem:
         tgap = x.sum(axis=-1, keepdims=True) - self.total_ref
         return self.w * gap + self.w_total * tgap
 
-    # -- objective in the change parametrization ----------------------------
+    # -- objective and its derivatives in x_1..x_T ---------------------------
 
-    def paths(self, d: np.ndarray) -> np.ndarray:
-        return self.x0 + np.cumsum(d, axis=0)
+    def changes(self, x: np.ndarray) -> np.ndarray:
+        return np.diff(x, axis=0, prepend=self.x0[None, :])
 
     def objective(self, d: np.ndarray) -> float:
-        x = self.paths(d)
+        x = self.x0 + np.cumsum(d, axis=0)
         value = float(self.stage_values(self.x0))
         value += float(self.disc @ (self.stage_values(x) + self.phi_values(d)))
         tail = x[-1] - self.anchor
         value += (self.beta ** self.T) * self.wT * float(tail @ tail)
         return value
 
-    def objective_and_gradient(self, d_flat: np.ndarray) -> Tuple[float, np.ndarray]:
-        d = d_flat.reshape(self.T, N_CATEGORIES)
-        x = self.paths(d)
-        stage_g = self.disc[:, None] * self.stage_grads(x)
-        # d_tau moves every x_t with t >= tau, hence the reversed cumulative sum.
-        grad = np.cumsum(stage_g[::-1], axis=0)[::-1]
-        grad += self.disc[:, None] * self.phi_marginal(d)
-        tail = x[-1] - self.anchor
-        grad += 2.0 * (self.beta ** self.T) * self.wT * tail
-        value = float(self.stage_values(self.x0))
-        value += float(self.disc @ (self.stage_values(x) + self.phi_values(d)))
-        value += (self.beta ** self.T) * self.wT * float(tail @ tail)
-        return value, grad.ravel()
+    def residuals(self, x: np.ndarray, marg: np.ndarray) -> np.ndarray:
+        """Current-value gradient in x_1..x_T (row t divided by beta^t), given
+        the marginal cost of each change. A frozen category's free multiplier
+        absorbs its entries."""
+        r = self.stage_grads(x) + marg
+        r[:-1] -= self.beta * marg[1:]
+        r[-1] += 2.0 * self.wT * (x[-1] - self.anchor)
+        r[:, self.frozen] = 0.0
+        return r
 
-    # -- stationarity in the allocation parametrization ---------------------
-
-    def stacked_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Gradient with respect to x_1..x_T (rows), for Newton polish."""
-        d = np.empty_like(x)
-        d[0] = x[0] - self.x0
-        d[1:] = np.diff(x, axis=0)
-        marg = self.phi_marginal(d)
-        g = self.disc[:, None] * (self.stage_grads(x) + marg)
-        g[:-1] -= self.disc[1:, None] * marg[1:]
-        g[-1] += 2.0 * (self.beta ** self.T) * self.wT * (x[-1] - self.anchor)
-        return g
-
-    def banded_hessian(self, x: np.ndarray) -> np.ndarray:
-        """Upper-banded Hessian (bandwidth 4) of the x-parametrized objective."""
-        T, n = self.T, N_CATEGORIES
-        d = np.empty_like(x)
-        d[0] = x[0] - self.x0
-        d[1:] = np.diff(x, axis=0)
-        curv = self.phi_curvature(d)
-        size = T * n
-        ab = np.zeros((n + 1, size))
-        stage_hess = np.diag(self.w) + self.w_total * np.ones((n, n))
-        for t in range(T):
-            block = self.disc[t] * stage_hess.copy()
-            diag_add = self.disc[t] * curv[t]
-            if t + 1 < T:
-                diag_add = diag_add + self.disc[t + 1] * curv[t + 1]
-            else:
-                block += self.disc[t] * 2.0 * self.wT * np.eye(n)
-            block[np.arange(n), np.arange(n)] += diag_add
-            base = t * n
-            for i in range(n):
-                for j in range(i, n):
-                    ab[n + (base + i) - (base + j), base + j] = block[i, j]
-            if t + 1 < T:
-                coupling = -self.disc[t + 1] * curv[t + 1]
-                for k in range(n):
-                    ab[0, (t + 1) * n + k] = coupling[k]
-        # Tiny ridge keeps degenerate (zero-weight, zero-curvature) directions solvable.
-        ridge = 1e-12 * (1.0 + np.max(np.abs(ab[n])))
-        ab[n] += ridge
-        return ab
+    def band(self, curv: np.ndarray) -> np.ndarray:
+        """Upper band (bandwidth 4) of the Hessian in x_1..x_T, given the
+        current-value curvature of each change. Rows and columns of date t
+        are scaled by beta^(-t/2), which leaves every entry of order one."""
+        n = N_CATEGORIES
+        free = ~self.frozen
+        ab = np.zeros((n + 1, self.T, n))
+        # Row 0 couples (t-1, k) with (t, k); rows 1..3 hold the total
+        # penalty's coupling of categories within a date; row 4 the diagonal.
+        ab[0, 1:] = -np.sqrt(self.beta) * curv[1:]
+        for offset in range(1, n):
+            ab[n - offset, :, offset:] = self.w_total * (free[:-offset] & free[offset:])
+        diag = self.w + self.w_total + curv
+        diag[:-1] += self.beta * curv[1:]
+        diag[-1] += 2.0 * self.wT
+        ab[n] = diag + _RIDGE * (1.0 + diag)
+        ab[0][:, self.frozen] = 0.0
+        ab[n][:, self.frozen] = 1.0
+        return ab.reshape(n + 1, self.T * n)
 
 
 def stage_cost_minimizer(scenario: Scenario) -> np.ndarray:
@@ -240,157 +234,28 @@ def stage_cost_minimizer(scenario: Scenario) -> np.ndarray:
     return xstar + z
 
 
-def _initial_deltas(problem: _Problem) -> np.ndarray:
+def _initial_allocations(problem: _Problem) -> np.ndarray:
+    """The configured guess, moved strictly inside every finite change limit."""
     if problem.config.initial_guess == "hold":
         d0 = np.zeros((problem.T, N_CATEGORIES))
     else:
         d0 = np.tile((problem.anchor - problem.x0) / problem.T, (problem.T, 1))
-    if problem.bounded:
-        d0 = np.clip(d0, problem.lo, problem.hi)
-    return d0
+    margin = np.minimum(0.25 * (problem.hi - problem.lo), _START_MARGIN)
+    d0 = np.clip(d0, problem.lo + margin, problem.hi - margin)
+    return problem.x0 + np.cumsum(d0, axis=0)
 
 
-def _projected_gradient_norm(problem: _Problem, d: np.ndarray, grad: np.ndarray) -> float:
-    if not problem.bounded:
-        return float(np.max(np.abs(grad))) if grad.size else 0.0
-    stepped = np.clip(d - grad.reshape(d.shape), problem.lo, problem.hi)
-    return float(np.max(np.abs(d - stepped)))
+def _step_to_boundary(values: np.ndarray, steps: np.ndarray) -> float:
+    """Largest step in (0, 1] that keeps positive ``values`` positive, with a margin."""
+    shrinking = steps < 0.0
+    if not np.any(shrinking):
+        return 1.0
+    return float(min(1.0, _STEP_TO_BOUNDARY * np.min(-values[shrinking] / steps[shrinking])))
 
 
-def _dense_change_hessian(problem: _Problem, d: np.ndarray) -> np.ndarray:
-    """Dense Hessian in the change parametrization (row-major (year, category))."""
-    T, n = problem.T, N_CATEGORIES
-    suffix = np.cumsum(problem.disc[::-1])[::-1]
-    overlap = suffix[np.maximum.outer(np.arange(T), np.arange(T))]
-    stage_hess = np.diag(problem.w) + problem.w_total * np.ones((n, n))
-    hess = np.kron(overlap, stage_hess)
-    terminal = 2.0 * (problem.beta ** T) * problem.wT
-    if terminal > 0.0:
-        hess += np.kron(np.ones((T, T)), terminal * np.eye(n))
-    curv = (problem.disc[:, None] * problem.phi_curvature(d)).ravel()
-    idx = np.arange(T * n)
-    hess[idx, idx] += curv
-    hess[idx, idx] += 1e-12 * (1.0 + np.max(np.abs(np.diag(hess))))
-    return hess
-
-
-def _projected_newton_polish(problem: _Problem, d: np.ndarray, budget: int, history: List[float]) -> Tuple[np.ndarray, int]:
-    """Two-metric projected Newton for bound-constrained solves.
-
-    Newton steps on the inactive coordinates, gradient steps on the
-    bound-active ones, projected back onto the box with an Armijo line
-    search along the projection arc.
-    """
-    lo = np.tile(problem.lo, problem.T)
-    hi = np.tile(problem.hi, problem.T)
-
-    def pg_norm(point: np.ndarray, grad: np.ndarray) -> float:
-        return float(np.max(np.abs(point - np.clip(point - grad, lo, hi))))
-
-    flat = d.ravel().copy()
-    steps = 0
-    value = problem.objective(flat.reshape(problem.T, N_CATEGORIES))
-    for _ in range(min(budget, _MAX_POLISH_STEPS)):
-        _, grad = problem.objective_and_gradient(flat)
-        pg = pg_norm(flat, grad)
-        if pg <= _POLISH_TARGET:
-            break
-        at_lo = (flat - lo <= _BOUND_ACTIVE_TOL) & (grad > 0.0)
-        at_hi = (hi - flat <= _BOUND_ACTIVE_TOL) & (grad < 0.0)
-        active = at_lo | at_hi
-        free = ~active
-        step = -grad.copy()
-        if np.any(free):
-            hess = _dense_change_hessian(problem, flat.reshape(problem.T, N_CATEGORIES))
-            try:
-                step[free] = np.linalg.solve(hess[np.ix_(free, free)], -grad[free])
-            except np.linalg.LinAlgError:
-                pass
-        full = np.clip(flat + step, lo, hi)
-        predicted = float(grad @ (full - flat))
-        if predicted >= 0.0:
-            break
-        if -predicted <= 1e-12 * (1.0 + abs(value)):
-            # Below objective resolution; accept only if stationarity tightens.
-            _, grad_new = problem.objective_and_gradient(full)
-            if pg_norm(full, grad_new) >= pg:
-                break
-            flat = full
-            steps += 1
-            continue
-        alpha = 1.0
-        accepted = False
-        for _ in range(60):
-            candidate = np.clip(flat + alpha * step, lo, hi)
-            value_new = problem.objective(candidate.reshape(problem.T, N_CATEGORIES))
-            if value_new <= value + _ARMIJO_C1 * float(grad @ (candidate - flat)):
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-        flat = candidate
-        value = value_new
-        history.append(value)
-        steps += 1
-    return flat.reshape(problem.T, N_CATEGORIES), steps
-
-
-def _newton_polish(problem: _Problem, d: np.ndarray, budget: int, history: List[float]) -> Tuple[np.ndarray, int]:
-    """Damped Newton on the allocation parametrization (unconstrained only)."""
-
-    def rescale(g: np.ndarray) -> float:
-        return float(np.max(np.abs(g) / problem.disc[:, None])) if g.size else 0.0
-
-    x = problem.paths(d)
-    steps = 0
-    value = problem.objective(d)
-    for _ in range(min(budget, _MAX_POLISH_STEPS)):
-        g = problem.stacked_gradient(x)
-        scale = rescale(g)
-        if scale <= _POLISH_TARGET:
-            break
-        ab = problem.banded_hessian(x)
-        try:
-            step = sla.solveh_banded(ab, -g.ravel(), lower=False)
-        except np.linalg.LinAlgError:
-            break
-        step = step.reshape(problem.T, N_CATEGORIES)
-        descent = float(np.sum(g * step))
-        if descent >= 0.0:
-            break
-        if -descent <= 1e-12 * (1.0 + abs(value)):
-            # The predicted decrease is below objective resolution; a line
-            # search cannot see it. Take the full step only if it tightens
-            # stationarity directly.
-            x_new = x + step
-            if rescale(problem.stacked_gradient(x_new)) >= scale:
-                break
-            x = x_new
-            steps += 1
-            continue
-        alpha = 1.0
-        accepted = False
-        for _ in range(60):
-            x_new = x + alpha * step
-            d_new = np.empty_like(x_new)
-            d_new[0] = x_new[0] - problem.x0
-            d_new[1:] = np.diff(x_new, axis=0)
-            value_new = problem.objective(d_new)
-            if value_new <= value + _ARMIJO_C1 * alpha * descent:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-        x = x_new
-        value = value_new
-        history.append(value)
-        steps += 1
-    d_final = np.empty_like(x)
-    d_final[0] = x[0] - problem.x0
-    d_final[1:] = np.diff(x, axis=0)
-    return d_final, steps
+def _complementarity(slack: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """s * min(z, 1): the slack itself where the multiplier is large."""
+    return slack * np.minimum(z, 1.0)
 
 
 def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -402,70 +267,118 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
     """
     cfg = config if config is not None else SolverConfig()
     problem = _Problem(scenario, cfg)
-    d0 = _initial_deltas(problem)
+    has_lo, has_hi = problem.has_lo, problem.has_hi
+    n_limits = problem.T * int(np.sum(has_lo) + np.sum(has_hi))
+    # The Newton system is solved scaled by beta^(t/2), so the gradient
+    # below is the objective's scaled the same way.
+    root = (problem.beta ** (np.arange(1, problem.T + 1) / 2.0))[:, None]
+    # Past the float range of beta^(T/2) the late dates cannot be scaled;
+    # the solve then stops at its first guess, uncertified.
+    budget = cfg.max_iterations if root[-1, 0] >= np.finfo(float).tiny else 0
 
-    history: List[float] = [problem.objective(d0)]
+    x = _initial_allocations(problem)
+    d = problem.changes(x)
+    # Slacks and multipliers are carried as iterates; columns without a
+    # limit hold slack 1 and multiplier 0, so they drop out of every formula.
+    # Recomputing a slack as d - lo would round to zero near an active limit.
+    s_lo = np.where(has_lo, d - problem.lo, 1.0)
+    s_hi = np.where(has_hi, problem.hi - d, 1.0)
+    z_lo = np.where(has_lo, 1.0, 0.0) * np.ones_like(d)
+    z_hi = np.where(has_hi, 1.0, 0.0) * np.ones_like(d)
 
-    def _record(intermediate_result: sopt.OptimizeResult) -> None:
-        # L-BFGS-B passes the objective it already evaluated at the new iterate.
-        history.append(intermediate_result.fun)
+    def log_barrier(mu_lo: np.ndarray, mu_hi: np.ndarray, lo_slack: np.ndarray, hi_slack: np.ndarray) -> float:
+        return float(problem.disc @ (mu_lo * np.log(lo_slack) + mu_hi * np.log(hi_slack)).sum(axis=1))
 
-    bounds = None
-    if problem.bounded:
-        bounds = [(problem.lo[k], problem.hi[k]) for _ in range(problem.T) for k in range(N_CATEGORIES)]
+    value = problem.objective(d)
+    history: List[float] = [value]
+    iterations = 0
+    for _ in range(budget):
+        marg = problem.phi_marginal(d)
+        dual = np.max(np.abs(problem.residuals(x, marg - z_lo + z_hi)))
+        comp_lo = _complementarity(s_lo, z_lo)
+        comp_hi = _complementarity(s_hi, z_hi)
+        settled = max(np.max(comp_lo), np.max(comp_hi)) <= _COMP_TOL
+        if settled and dual <= min(_DUAL_TOL, cfg.gradient_tol):
+            break
+        avg = float(np.sum(comp_lo) + np.sum(comp_hi)) / n_limits if n_limits else 0.0
+        mu = min(_CENTERING * avg, avg ** 1.5)
+        mu_lo = has_lo * np.maximum(mu, _COMP_FLOOR * np.maximum(z_lo, 1.0))
+        mu_hi = has_hi * np.maximum(mu, _COMP_FLOOR * np.maximum(z_hi, 1.0))
 
-    result = sopt.minimize(
-        problem.objective_and_gradient,
-        d0.ravel(),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        callback=_record,
-        options={
-            "maxiter": cfg.max_iterations,
-            "maxfun": 50 * cfg.max_iterations,
-            "ftol": 1e-16,
-            "gtol": min(cfg.gradient_tol, 1e-10),
-            "maxls": 60,
-        },
-    )
-    d = result.x.reshape(problem.T, N_CATEGORIES)
-    iterations = int(result.nit)
+        # Newton step on the barrier problem: the limits' primal-dual terms
+        # enter the marginal and curvature of each change.
+        inv_lo = has_lo / s_lo
+        inv_hi = has_hi / s_hi
+        grad = root * problem.residuals(x, marg - mu_lo * inv_lo + mu_hi * inv_hi)
+        curv = problem.phi_curvature(d) + z_lo * inv_lo + z_hi * inv_hi
+        try:
+            step = sla.solveh_banded(problem.band(curv), -grad.ravel()).reshape(x.shape)
+        except np.linalg.LinAlgError:
+            break
+        slope = float(np.sum(grad * step))
+        if not slope < 0.0:
+            break
+        dx = step / root
+        # The change step is the first difference of the allocation step;
+        # differencing two iterates would lose it to cancellation.
+        dd = np.diff(dx, axis=0, prepend=np.zeros((1, N_CATEGORIES)))
+        ds_lo = has_lo * dd
+        ds_hi = -(has_hi * dd)
+        dz_lo = mu_lo * inv_lo - z_lo - z_lo * inv_lo * ds_lo
+        dz_hi = mu_hi * inv_hi - z_hi - z_hi * inv_hi * ds_hi
 
-    polish_budget = cfg.max_iterations - iterations
-    if polish_budget > 0:
-        if problem.bounded:
-            d, polish_steps = _projected_newton_polish(problem, d, polish_budget, history)
+        # Armijo backtracking on the barrier merit from the largest step
+        # that keeps the slacks positive. Changes below the merit's roundoff
+        # pass, so late dates, whose weight beta^t sits below it, still move.
+        alpha = min(_step_to_boundary(s_lo, ds_lo), _step_to_boundary(s_hi, ds_hi))
+        merit = value - log_barrier(mu_lo, mu_hi, s_lo, s_hi)
+        resolution = 1e-15 * (1.0 + abs(merit))
+        for _ in range(_MAX_BACKTRACKS):
+            x_new = x + alpha * dx
+            d_new = problem.changes(x_new)
+            value_new = problem.objective(d_new)
+            merit_new = value_new - log_barrier(mu_lo, mu_hi, s_lo + alpha * ds_lo, s_hi + alpha * ds_hi)
+            if merit_new <= merit + _ARMIJO_C1 * alpha * slope + resolution:
+                break
+            alpha *= 0.5
         else:
-            d, polish_steps = _newton_polish(problem, d, polish_budget, history)
-        iterations += polish_steps
+            break
+        alpha_z = min(_step_to_boundary(z_lo, dz_lo), _step_to_boundary(z_hi, dz_hi))
+        x, d, value = x_new, d_new, value_new
+        s_lo = s_lo + alpha * ds_lo
+        s_hi = s_hi + alpha * ds_hi
+        z_lo = z_lo + alpha_z * dz_lo
+        z_hi = z_hi + alpha_z * dz_hi
+        history.append(value)
+        iterations += 1
+        if settled and np.max(np.abs(dx)) <= _ROUNDOFF * np.max(np.abs(x)):
+            # The step moved no allocation beyond roundoff, so stationarity
+            # is as tight as floating point allows at this scale.
+            break
 
-    value, grad = problem.objective_and_gradient(d.ravel())
-    grad_norm = _projected_gradient_norm(problem, d, grad)
-
-    x_full = np.vstack([problem.x0, problem.paths(d)])
+    x_full = np.vstack([problem.x0, x])
     # Components pinned at zero can pick up roundoff slightly below zero.
     x_full = np.where(np.abs(x_full) < 1e-12, np.abs(x_full), x_full)
     trajectory = Trajectory(x_full)
 
-    if problem.T >= 2:
-        residuals = euler_residuals(trajectory, scenario)
-        if problem.bounded:
-            active = (d - problem.lo <= _BOUND_ACTIVE_TOL) | (problem.hi - d <= _BOUND_ACTIVE_TOL)
-            # The residual at date t involves the changes of years t and t+1.
-            mask = active[:-1] | active[1:]
-            masked = np.where(mask, 0.0, residuals)
-        else:
-            masked = residuals
-        max_residual = float(np.max(np.abs(masked))) if masked.size else 0.0
-    else:
-        max_residual = 0.0
+    # Certify the trajectory as returned, at every date.
+    x = trajectory.values[1:]
+    d = trajectory.deltas()[1:]
+    residuals = np.abs(problem.residuals(x, problem.phi_marginal(d) - z_lo + z_hi))
+    grad_norm = float(np.max(residuals))
+    max_residual = float(np.max(residuals[:-1])) if problem.T >= 2 else 0.0
+    violation = max(0.0, float(np.max(np.maximum(problem.lo - d, d - problem.hi))))
+    slack_lo = np.abs(np.where(has_lo, d - problem.lo, 0.0))
+    slack_hi = np.abs(np.where(has_hi, problem.hi - d, 0.0))
+    comp = max(np.max(_complementarity(slack_lo, z_lo)), np.max(_complementarity(slack_hi, z_hi)))
 
-    converged = bool(grad_norm <= cfg.gradient_tol and max_residual <= cfg.euler_tol)
+    converged = bool(
+        grad_norm <= cfg.gradient_tol and max_residual <= cfg.euler_tol and max(comp, violation) <= cfg.gradient_tol
+    )
     return SolveReport(
         converged=converged,
         iterations=iterations,
-        objective=float(value),
+        objective=problem.objective(d),
         gradient_norm=grad_norm,
         max_euler_residual=max_residual,
         trajectory=trajectory,

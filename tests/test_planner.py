@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fistrans import (
     ExpenditureVector,
@@ -70,14 +72,44 @@ def test_two_period_matches_linear_system_oracle():
     assert np.allclose(report.trajectory.values[1:, 0], oracle, atol=1e-8)
 
 
+def _linear_oracle(scen, terminal):
+    """Allocations x_1..x_T solving the eta = 0 stationarity system directly.
+
+    Row t (divided by beta^t) reads
+        S x_t + G (x_t - x_{t-1}) - beta G (x_{t+1} - x_t) = c     (t < T)
+        S x_T + G (x_T - x_{T-1}) + 2 w_T (x_T - anchor) = c       (t = T)
+    with S = diag(w) + w_total * ones, G = diag(gamma) and
+    c = w * target + w_total * total_reference. The system is assembled
+    here with scipy.sparse, independently of the planner code.
+    """
+    horizon, beta, n = scen.horizon, scen.beta, 4
+    w = np.array(scen.cost.weights)
+    w_total = scen.cost.total_weight
+    gamma = np.diag(scen.rigidity.gamma)
+    stage_hess = np.diag(w) + w_total * np.ones((n, n))
+    last = sp.csr_matrix(([1.0], ([horizon - 1], [horizon - 1])), shape=(horizon, horizon))
+    ahead = sp.identity(horizon) - last
+    mat = (
+        sp.kron(sp.identity(horizon), stage_hess + gamma)
+        + sp.kron(beta * ahead, gamma)
+        - sp.kron(sp.eye(horizon, k=-1), gamma)
+        - sp.kron(beta * sp.eye(horizon, k=1), gamma)
+        + sp.kron(last, 2.0 * terminal * np.eye(n))
+    )
+    rhs = np.tile(w * scen.cost.target.as_array() + w_total * scen.cost.total_reference, horizon)
+    rhs[:n] += np.diag(gamma) * scen.baseline.as_array()
+    rhs[-n:] += 2.0 * terminal * stage_cost_minimizer(scen)
+    return spla.spsolve(mat.tocsc(), rhs).reshape(horizon, n)
+
+
 def test_multi_category_solves_match_linear_system_oracle():
     # Without the cubic term the stationarity conditions are linear in the
     # stacked allocations, so the whole solve (discounting, total-penalty
     # coupling, terminal anchor) can be checked against a direct solve of
-    # that system, assembled here independently of the planner code.
+    # that system, at short horizons and at long ones.
     rng = np.random.default_rng(8)
-    for _ in range(5):
-        horizon = int(rng.integers(3, 12))
+    for long_horizon in (None,) * 5 + (1000, 5000):
+        horizon = int(rng.integers(3, 12)) if long_horizon is None else long_horizon
         beta = float(rng.uniform(0.85, 0.98))
         w = rng.uniform(0.2, 2.0, 4)
         w_total = float(rng.uniform(0.0, 0.8))
@@ -100,32 +132,11 @@ def test_multi_category_solves_match_linear_system_oracle():
             beta,
             horizon,
         )
-        anchor = stage_cost_minimizer(scen)
-
-        n = 4
-        mat = np.zeros((horizon * n, horizon * n))
-        rhs = np.zeros(horizon * n)
-        stage_hess = np.diag(w) + w_total * np.ones((n, n))
-        stage_const = w * xstar + w_total * total_ref
-        for t in range(1, horizon + 1):
-            r = (t - 1) * n
-            mat[r : r + n, r : r + n] += stage_hess + np.diag(gamma)
-            rhs[r : r + n] += stage_const
-            if t == 1:
-                rhs[r : r + n] += gamma * x0
-            else:
-                mat[r : r + n, r - n : r] -= np.diag(gamma)
-            if t < horizon:
-                mat[r : r + n, r : r + n] += beta * np.diag(gamma)
-                mat[r : r + n, r + n : r + 2 * n] -= beta * np.diag(gamma)
-            else:
-                mat[r : r + n, r : r + n] += 2 * terminal * np.eye(n)
-                rhs[r : r + n] += 2 * terminal * anchor
-        oracle = np.linalg.solve(mat, rhs).reshape(horizon, n)
+        oracle = _linear_oracle(scen, terminal)
 
         report = solve(scen, SolverConfig(terminal_weight=terminal))
-        assert report.converged
-        assert np.abs(report.trajectory.values[1:] - oracle).max() < 1e-8
+        assert report.converged, f"horizon {horizon}"
+        assert np.abs(report.trajectory.values[1:] - oracle).max() < 1e-8, f"horizon {horizon}"
 
 
 def test_frictionless_transition_jumps_to_target():
@@ -186,14 +197,18 @@ def test_gradualism_randomized_scenarios():
 
 
 def test_euler_residuals_vanish_at_optimum():
-    scen = load_default_preset().scenario()
-    report = solve(scen)
-    assert report.converged
-    res = euler_residuals(report.trajectory, scen)
-    assert res.shape == (scen.horizon - 1, 4)
-    assert np.max(np.abs(res)) <= 1e-6
-    assert report.max_euler_residual <= 1e-6
-    assert report.gradient_norm <= 1e-8
+    # The certificate covers every date, also at horizons where beta^t falls
+    # far below the objective's resolution.
+    base = load_default_preset().scenario()
+    for horizon in (50, 1000, 5000):
+        scen = dataclasses.replace(base, horizon=horizon)
+        report = solve(scen)
+        assert report.converged, f"horizon {horizon}"
+        res = euler_residuals(report.trajectory, scen)
+        assert res.shape == (scen.horizon - 1, 4)
+        assert np.max(np.abs(res)) <= 1e-6, f"horizon {horizon}"
+        assert report.max_euler_residual <= 1e-6
+        assert report.gradient_norm <= 1e-8
 
 
 def test_euler_residuals_flag_hold_trajectory():
@@ -290,23 +305,50 @@ def test_rigidity_scaling_slows_the_transition():
     assert settle_stiff >= settle_base
 
 
+BOUND_SHAPES = {
+    "symmetric": ((-0.5, 0.5),) * 4,
+    "frozen": ((0.0, 0.0), (-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5)),
+    "one-sided": ((0.0, 0.5),) * 4,
+    "half-infinite": ((-math.inf, 0.0), (0.0, math.inf), (-1.0, 1.0), (-math.inf, math.inf)),
+}
+
+
 def test_delta_bounds_are_respected_and_certified():
     preset = load_default_preset()
-    scen = Scenario(
-        name="bounded",
-        baseline=preset.baseline,
-        cost=preset.cost,
-        rigidity=preset.rigidity,
-        beta=0.96,
-        horizon=30,
-        delta_bounds=((-0.5, 0.5),) * 4,
-    )
-    report = solve(scen)
-    assert report.converged
+    cfg = SolverConfig()
+    solved = {}
+    for shape, bounds in BOUND_SHAPES.items():
+        scen = Scenario(
+            name="bounded",
+            baseline=preset.baseline,
+            cost=preset.cost,
+            rigidity=preset.rigidity,
+            beta=0.96,
+            horizon=30,
+            delta_bounds=bounds,
+        )
+        report = solve(scen, cfg)
+        solved[shape] = scen, report
+        assert report.converged, shape
+        assert report.max_euler_residual <= 1e-6, shape
+        deltas = report.trajectory.deltas()[1:]
+        lo, hi = scen.bounds_arrays()
+        assert max(np.max(lo - deltas), np.max(deltas - hi)) <= 0.0, shape
+        # Holding the baseline is feasible under every shape, so the optimum beats it.
+        hold = Trajectory(np.tile(scen.baseline.as_array(), (scen.horizon + 1, 1)))
+        assert report.objective <= objective_value(hold, scen, cfg) + 1e-9, shape
+        for k, (low, high) in enumerate(bounds):
+            if low == high:
+                assert np.all(report.trajectory.values[:, k] == scen.baseline.as_array()[k]), shape
+
+    scen, report = solved["symmetric"]
     deltas = report.trajectory.deltas()
-    assert np.max(np.abs(deltas)) <= 0.5 + 1e-12
     # The cap binds early: the unconstrained first step is larger than 0.5.
     assert np.max(np.abs(deltas[1])) == pytest.approx(0.5, abs=1e-9)
+    # The certificate prices the active limits with multipliers instead of
+    # masking those dates: the plain residuals there are far from zero.
+    assert np.max(np.abs(euler_residuals(report.trajectory, scen))) > 1e-3
+    assert report.max_euler_residual <= 1e-6
 
 
 def test_asymmetric_rigidity_slows_reductions():
@@ -352,9 +394,10 @@ def test_solver_is_deterministic():
 
 def test_exhausted_iteration_budget_reports_not_converged():
     scen = load_default_preset().scenario()
-    report = solve(scen, SolverConfig(max_iterations=1))
-    assert not report.converged
-    assert report.iterations <= 1
+    for bounds in (None, ((-0.5, 0.5),) * 4):
+        report = solve(dataclasses.replace(scen, delta_bounds=bounds), SolverConfig(max_iterations=1))
+        assert not report.converged, bounds
+        assert report.iterations <= 1
 
 
 def test_hold_initial_guess_reaches_same_solution():
