@@ -263,18 +263,22 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
 
     Deterministic for fixed inputs and configuration. Non-convergence
     within the iteration budget is reported through the ``converged`` flag,
-    not raised.
+    not raised. A horizon at which beta^(T/2) falls below the smallest
+    normal float raises ``ValidationError``: the Newton system is solved
+    scaled by beta^(t/2), which cannot represent those dates.
     """
     cfg = config if config is not None else SolverConfig()
+    if scenario.beta ** (scenario.horizon / 2.0) < np.finfo(float).tiny:
+        raise ValidationError(
+            f"beta = {scenario.beta} and T = {scenario.horizon} put beta^(T/2) below "
+            "the smallest normal float; the late dates cannot be solved"
+        )
     problem = _Problem(scenario, cfg)
     has_lo, has_hi = problem.has_lo, problem.has_hi
     n_limits = problem.T * int(np.sum(has_lo) + np.sum(has_hi))
     # The Newton system is solved scaled by beta^(t/2), so the gradient
     # below is the objective's scaled the same way.
     root = (problem.beta ** (np.arange(1, problem.T + 1) / 2.0))[:, None]
-    # Past the float range of beta^(T/2) the late dates cannot be scaled;
-    # the solve then stops at its first guess, uncertified.
-    budget = cfg.max_iterations if root[-1, 0] >= np.finfo(float).tiny else 0
 
     x = _initial_allocations(problem)
     d = problem.changes(x)
@@ -292,7 +296,7 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
     value = problem.objective(d)
     history: List[float] = [value]
     iterations = 0
-    for _ in range(budget):
+    for _ in range(cfg.max_iterations):
         marg = problem.phi_marginal(d)
         dual = np.max(np.abs(problem.residuals(x, marg - z_lo + z_hi)))
         comp_lo = _complementarity(s_lo, z_lo)

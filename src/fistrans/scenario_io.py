@@ -7,17 +7,15 @@ Scenario file grammar (documented in the README as well):
 * ``[section]`` or ``[section.subsection]`` headers open a section.
 * ``key = value`` assignments; values are numbers (``float`` syntax,
   ``inf``/``-inf`` allowed, ``nan`` rejected) or double-quoted strings.
-* Keys before the first section header configure the run itself:
-  ``name``, ``preset``, ``beta``, ``horizon``.
-* Sections: ``[baseline]`` and ``[target]`` (category shares),
-  ``[weights]`` (per-category plus ``total`` and ``total_reference``),
-  ``[rigidity.<category>]`` (``gamma``/``eta`` or
-  ``gamma_up``/``gamma_down``/``eta``), ``[bounds.<category>]``
-  (``min_change``/``max_change``), and ``[breakeven]``.
-* Unknown sections or keys are rejected with their line number.
+* Keys before the first section header configure the run itself.
+* Unknown keys are rejected with their line number, unknown sections with
+  the line of their header.
 
-Every field omitted by a file is filled from the named preset (default
-``paper-default``), so a file containing only ``preset = "paper-default"``
+``_fields`` is the one place where the sections and keys are defined: it
+maps a scenario to ``section -> key -> value`` in file order. Serializing
+renders that table. Parsing builds the table of the named preset (default
+``paper-default``), overlays the file's entries and builds the scenario
+from the result, so a file containing only ``preset = "paper-default"``
 is a complete scenario. Serialization emits every resolved field, so a
 serialized scenario parses back bit-equal regardless of preset evolution.
 """
@@ -27,7 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -68,22 +66,8 @@ __all__ = [
 
 PRESET_DIR_ENV = "FISTRANS_PRESET_DIR"
 
-_CATEGORY_KEYS = tuple(cat.key for cat in CATEGORIES)
-_TOP_KEYS = ("name", "preset", "beta", "horizon")
-_WEIGHT_KEYS = _CATEGORY_KEYS + ("total", "total_reference")
-_RIGIDITY_KEYS = ("gamma", "eta", "gamma_up", "gamma_down")
-_BOUND_KEYS = ("min_change", "max_change")
-_BREAKEVEN_KEYS = (
-    "adjustable_base",
-    "core_floor",
-    "reduction_fraction",
-    "target_years",
-    "window",
-    "gamma",
-    "eta",
-    "gamma_up",
-    "gamma_down",
-)
+_Table = Dict[str, Dict[str, object]]
+_Entries = Dict[str, Tuple[object, int]]
 
 
 class ScenarioSyntaxError(ValueError):
@@ -116,13 +100,57 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
+# The file format
+# ---------------------------------------------------------------------------
+
+# The kind of every key not listed here is float.
+_KINDS = {"name": str, "preset": str, "horizon": int, "target_years": int, "window": int}
+
+
+def _fields(scenario: Scenario) -> _Table:
+    """A scenario as ``section -> key -> value``, sections and keys in file order.
+
+    This table defines which sections and keys a file may hold. ``None``
+    marks a key the scenario leaves unset: the gamma keys of the other
+    rigidity mode, an infinite change limit, every key of an absent
+    break-even block, and ``preset`` (a resolved scenario names none).
+    """
+    cost, be = scenario.cost, scenario.breakeven
+    categories = [cat.key for cat in CATEGORIES]
+    gamma_keys = ("gamma", "gamma_up", "gamma_down", "eta")
+    rigidity = {key: getattr(scenario.rigidity, key) for key in gamma_keys}
+    table: _Table = {
+        "": {"name": scenario.name, "preset": None, "beta": scenario.beta, "horizon": scenario.horizon},
+        "baseline": dict(zip(categories, scenario.baseline.as_tuple())),
+        "target": dict(zip(categories, cost.target.as_tuple())),
+        "weights": {
+            **dict(zip(categories, cost.weights)),
+            "total": cost.total_weight,
+            "total_reference": cost.total_reference,
+        },
+    }
+    for idx, category in enumerate(categories):
+        table[f"rigidity.{category}"] = {key: None if v is None else v[idx] for key, v in rigidity.items()}
+    for category, (lo, hi) in zip(categories, scenario.delta_bounds or [(-np.inf, np.inf)] * len(categories)):
+        table[f"bounds.{category}"] = {
+            "min_change": None if lo == -np.inf else lo,
+            "max_change": None if hi == np.inf else hi,
+        }
+    be_keys = ("reduction_fraction", "target_years", "adjustable_base", "core_floor", "window") + gamma_keys
+    table["breakeven"] = {key: None if be is None else getattr(be, key) for key in be_keys}
+    return table
+
+
+# ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
 
-def _parse_lines(text: str) -> Dict[str, Dict[str, Tuple[object, int]]]:
-    """Raw (section -> key -> (value, line)) mapping with syntax checking."""
-    sections: Dict[str, Dict[str, Tuple[object, int]]] = {"": {}}
+def _parse_lines(text: str) -> Tuple[Dict[str, _Entries], Dict[str, int]]:
+    """Raw (section -> key -> (value, line)) mapping with syntax checking,
+    plus the line of each section's first header."""
+    sections: Dict[str, _Entries] = {"": {}}
+    headers: Dict[str, int] = {}
     current = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -135,6 +163,7 @@ def _parse_lines(text: str) -> Dict[str, Dict[str, Tuple[object, int]]]:
             if not current or any(not part.strip() for part in current.split(".")):
                 raise ScenarioSyntaxError("empty section name", lineno, raw.index("[") + 1)
             sections.setdefault(current, {})
+            headers.setdefault(current, lineno)
             continue
         if "=" not in line:
             raise ScenarioSyntaxError("expected 'key = value' or a section header", lineno)
@@ -161,35 +190,37 @@ def _parse_lines(text: str) -> Dict[str, Dict[str, Tuple[object, int]]]:
         if key in sections[current]:
             raise ScenarioSyntaxError(f"duplicate key {key!r} in section [{current}]", lineno)
         sections[current][key] = (value, lineno)
-    return sections
+    return sections, headers
 
 
-def _take_number(entry: Tuple[object, int], where: str) -> float:
+def _take(entry: Tuple[object, int], kind: type, where: str) -> object:
+    """A file value checked against the kind of its key."""
     value, lineno = entry
+    if kind is str:
+        if not isinstance(value, str):
+            raise ScenarioSyntaxError(f"{where} must be a quoted string", lineno)
+        return value
     if not isinstance(value, float):
         raise ScenarioSyntaxError(f"{where} must be a number", lineno)
+    if kind is int:
+        if not value.is_integer():
+            raise ScenarioSyntaxError(f"{where} must be an integer", lineno)
+        return int(value)
     return value
 
 
-def _take_int(entry: Tuple[object, int], where: str) -> int:
-    value = _take_number(entry, where)
-    if not float(value).is_integer():
-        raise ScenarioSyntaxError(f"{where} must be an integer", entry[1])
-    return int(value)
-
-
-def _take_string(entry: Tuple[object, int], where: str) -> str:
-    value, lineno = entry
-    if not isinstance(value, str):
-        raise ScenarioSyntaxError(f"{where} must be a quoted string", lineno)
-    return value
-
-
-def _reject_unknown(section: str, found: Dict[str, Tuple[object, int]], allowed: Tuple[str, ...]) -> None:
-    for key, (_, lineno) in found.items():
-        if key not in allowed:
-            where = f"[{section}]" if section else "the top section"
-            raise ScenarioSyntaxError(f"unknown key {key!r} in {where}", lineno)
+def _apply_gamma_rule(section_name: str, found: _Entries, fields: Dict[str, object]) -> None:
+    """A rigidity block sets gamma, or both gamma_up and gamma_down, never a
+    mix; the form a file sets replaces the other form's preset values."""
+    lineno = min((line for _, line in found.values()), default=1)
+    if "gamma" in found and ("gamma_up" in found or "gamma_down" in found):
+        raise ScenarioSyntaxError(f"[{section_name}] mixes gamma with gamma_up/gamma_down", lineno)
+    if ("gamma_up" in found) != ("gamma_down" in found):
+        raise ScenarioSyntaxError(f"[{section_name}] needs both gamma_up and gamma_down", lineno)
+    if "gamma" in found:
+        fields["gamma_up"] = fields["gamma_down"] = None
+    elif "gamma_up" in found:
+        fields["gamma"] = None
 
 
 def _resolve_preset(name: str, depth: int = 0) -> Scenario:
@@ -205,211 +236,76 @@ def _resolve_preset(name: str, depth: int = 0) -> Scenario:
     raise ValidationError(f"unknown preset {name!r} (set {PRESET_DIR_ENV} for user presets)")
 
 
-def _vector_from_section(
-    section: Dict[str, Tuple[object, int]],
-    section_name: str,
-    base: ExpenditureVector,
-    overrides: List[str],
-) -> ExpenditureVector:
-    _reject_unknown(section_name, section, _CATEGORY_KEYS)
-    values = {cat.key: base.get(cat) for cat in CATEGORIES}
-    for key, entry in section.items():
-        values[key] = _take_number(entry, f"[{section_name}] {key}")
-        overrides.append(f"{section_name}.{key}")
-    return ExpenditureVector(**values)
-
-
 def _parse(text: str, depth: int = 0) -> Tuple[Scenario, ScenarioFileInfo]:
-    sections = _parse_lines(text)
-    known_sections = {"", "baseline", "target", "weights", "breakeven"}
-    for cat_key in _CATEGORY_KEYS:
-        known_sections.add(f"rigidity.{cat_key}")
-        known_sections.add(f"bounds.{cat_key}")
-    for section in sections:
-        if section not in known_sections:
-            lineno = min(line for _, line in sections[section].values()) if sections[section] else 1
-            raise ScenarioSyntaxError(f"unknown section [{section}]", lineno)
-
+    sections, headers = _parse_lines(text)
     top = sections[""]
-    _reject_unknown("", top, _TOP_KEYS)
-    preset_name = _take_string(top["preset"], "preset") if "preset" in top else DEFAULT_PRESET_NAME
+    preset_name = _take(top["preset"], str, "preset") if "preset" in top else DEFAULT_PRESET_NAME
     base = _resolve_preset(preset_name, depth)
-
-    overrides: List[str] = []
-    name = base.name
-    if "name" in top:
-        name = _take_string(top["name"], "name")
-        overrides.append("name")
-    beta = base.beta
-    if "beta" in top:
-        beta = _take_number(top["beta"], "beta")
-        overrides.append("beta")
-    horizon = base.horizon
-    if "horizon" in top:
-        horizon = _take_int(top["horizon"], "horizon")
-        overrides.append("horizon")
-
-    baseline = base.baseline
-    if "baseline" in sections:
-        baseline = _vector_from_section(sections["baseline"], "baseline", base.baseline, overrides)
-    target = base.cost.target
-    if "target" in sections:
-        target = _vector_from_section(sections["target"], "target", base.cost.target, overrides)
-
-    weights = dict(zip(_CATEGORY_KEYS, base.cost.weights))
-    total_weight = base.cost.total_weight
-    total_reference: Optional[float] = base.cost.total_reference
-    if "weights" in sections:
-        found = sections["weights"]
-        _reject_unknown("weights", found, _WEIGHT_KEYS)
+    table = _fields(base)
+    for section, found in sections.items():
+        if section not in table:
+            raise ScenarioSyntaxError(f"unknown section [{section}]", headers[section])
+        fields = table[section]
         for key, entry in found.items():
-            value = _take_number(entry, f"[weights] {key}")
-            overrides.append(f"weights.{key}")
-            if key == "total":
-                total_weight = value
-            elif key == "total_reference":
-                total_reference = value
-            else:
-                weights[key] = value
-    cost = FiscalCostSpec(
-        target=target,
-        weights=tuple(weights[k] for k in _CATEGORY_KEYS),
-        total_weight=total_weight,
-        total_reference=total_reference,
+            if key not in fields:
+                where = f"[{section}]" if section else "the top section"
+                raise ScenarioSyntaxError(f"unknown key {key!r} in {where}", entry[1])
+            fields[key] = _take(entry, _KINDS.get(key, float), f"[{section}] {key}" if section else key)
+        if "gamma_up" in fields:
+            _apply_gamma_rule(section, found, fields)
+    overrides = tuple(
+        sorted(f"{section}.{key}" if section else key for section, found in sections.items() for key in found if key != "preset")
     )
+    scenario = _build(table, base.rigidity.is_asymmetric, "breakeven" in sections)
+    return scenario, ScenarioFileInfo(preset=preset_name, overrides=overrides)
 
-    rigidity = _parse_rigidity(sections, base.rigidity, overrides)
-    bounds = _parse_bounds(sections, base.delta_bounds, overrides)
-    breakeven = _parse_breakeven(sections, base.breakeven, overrides)
 
-    scenario = Scenario(
-        name=name,
-        baseline=baseline,
-        cost=cost,
-        rigidity=rigidity,
-        beta=beta,
-        horizon=horizon,
-        delta_bounds=bounds,
+def _build(table: _Table, preset_asymmetric: bool, has_breakeven: bool) -> Scenario:
+    """The scenario a table describes.
+
+    The rigidity block is asymmetric if the preset's is or if one
+    ``[rigidity.*]`` section is. A ``[breakeven]`` section in the file
+    builds that block even when the preset has none.
+    """
+    top, weights = table[""], table["weights"]
+    categories = [cat.key for cat in CATEGORIES]
+    rigidity = [table[f"rigidity.{category}"] for category in categories]
+    eta = tuple(r["eta"] for r in rigidity)
+    if preset_asymmetric or any(r["gamma"] is None for r in rigidity):
+        up = tuple(r["gamma_up"] if r["gamma"] is None else r["gamma"] for r in rigidity)
+        down = tuple(r["gamma_down"] if r["gamma"] is None else r["gamma"] for r in rigidity)
+        rigidity_params = RigidityParams(eta=eta, gamma_up=up, gamma_down=down)
+    else:
+        rigidity_params = RigidityParams(gamma=tuple(r["gamma"] for r in rigidity), eta=eta)
+    be = {key: value for key, value in table["breakeven"].items() if value is not None}
+    breakeven = None
+    if be or has_breakeven:
+        missing = [k for k in ("reduction_fraction", "target_years") if k not in be]
+        if missing:
+            raise ValidationError(f"[breakeven] is missing required keys: {', '.join(missing)}")
+        if "gamma" not in be and "gamma_up" not in be:
+            be["gamma"] = 0.0
+        breakeven = BreakEvenSpec(**be)
+    bounds = [table[f"bounds.{category}"] for category in categories]
+    return Scenario(
+        name=top["name"],
+        baseline=ExpenditureVector(**table["baseline"]),
+        cost=FiscalCostSpec(
+            target=ExpenditureVector(**table["target"]),
+            weights=tuple(weights[category] for category in categories),
+            total_weight=weights["total"],
+            total_reference=weights["total_reference"],
+        ),
+        rigidity=rigidity_params,
+        beta=top["beta"],
+        horizon=top["horizon"],
+        # Scenario turns all-infinite limits into None.
+        delta_bounds=tuple(
+            (-np.inf if b["min_change"] is None else b["min_change"], np.inf if b["max_change"] is None else b["max_change"])
+            for b in bounds
+        ),
         breakeven=breakeven,
     )
-    return scenario, ScenarioFileInfo(preset=preset_name, overrides=tuple(sorted(overrides)))
-
-
-def _check_gamma_keys(section_name: str, found: Dict[str, Tuple[object, int]]) -> None:
-    """A rigidity block sets gamma, or both gamma_up and gamma_down, never a mix."""
-    lineno = min((line for _, line in found.values()), default=1)
-    if "gamma" in found and ("gamma_up" in found or "gamma_down" in found):
-        raise ScenarioSyntaxError(f"[{section_name}] mixes gamma with gamma_up/gamma_down", lineno)
-    if ("gamma_up" in found) != ("gamma_down" in found):
-        raise ScenarioSyntaxError(f"[{section_name}] needs both gamma_up and gamma_down", lineno)
-
-
-def _parse_rigidity(
-    sections: Dict[str, Dict[str, Tuple[object, int]]],
-    base: RigidityParams,
-    overrides: List[str],
-) -> RigidityParams:
-    per_cat: Dict[str, Dict[str, float]] = {}
-    for cat in CATEGORIES:
-        section_name = f"rigidity.{cat.key}"
-        if section_name not in sections:
-            continue
-        found = sections[section_name]
-        _reject_unknown(section_name, found, _RIGIDITY_KEYS)
-        entries = {key: _take_number(entry, f"[{section_name}] {key}") for key, entry in found.items()}
-        _check_gamma_keys(section_name, found)
-        per_cat[cat.key] = entries
-        overrides.extend(f"{section_name}.{key}" for key in entries)
-    if not per_cat:
-        return base
-
-    eta = list(base.eta)
-    up, down = (list(g) for g in base.gamma_pair())
-    for idx, cat in enumerate(CATEGORIES):
-        entries = per_cat.get(cat.key, {})
-        if "eta" in entries:
-            eta[idx] = entries["eta"]
-        if "gamma_up" in entries:
-            up[idx] = entries["gamma_up"]
-            down[idx] = entries["gamma_down"]
-        elif "gamma" in entries:
-            up[idx] = down[idx] = entries["gamma"]
-    # One asymmetric category makes the whole block asymmetric.
-    if base.is_asymmetric or any("gamma_up" in entries for entries in per_cat.values()):
-        return RigidityParams(eta=tuple(eta), gamma_up=tuple(up), gamma_down=tuple(down))
-    return RigidityParams(gamma=tuple(up), eta=tuple(eta))
-
-
-def _parse_bounds(
-    sections: Dict[str, Dict[str, Tuple[object, int]]],
-    base: Optional[Tuple[Tuple[float, float], ...]],
-    overrides: List[str],
-) -> Optional[Tuple[Tuple[float, float], ...]]:
-    pairs = list(base) if base is not None else [(-np.inf, np.inf)] * len(CATEGORIES)
-    seen = base is not None
-    for idx, cat in enumerate(CATEGORIES):
-        section_name = f"bounds.{cat.key}"
-        if section_name not in sections:
-            continue
-        found = sections[section_name]
-        _reject_unknown(section_name, found, _BOUND_KEYS)
-        lo, hi = pairs[idx]
-        if "min_change" in found:
-            lo = _take_number(found["min_change"], f"[{section_name}] min_change")
-            overrides.append(f"{section_name}.min_change")
-        if "max_change" in found:
-            hi = _take_number(found["max_change"], f"[{section_name}] max_change")
-            overrides.append(f"{section_name}.max_change")
-        pairs[idx] = (lo, hi)
-        seen = True
-    if not seen:
-        return None
-    if all(lo == -np.inf and hi == np.inf for lo, hi in pairs):
-        return None
-    return tuple(pairs)
-
-
-def _parse_breakeven(
-    sections: Dict[str, Dict[str, Tuple[object, int]]],
-    base: Optional[BreakEvenSpec],
-    overrides: List[str],
-) -> Optional[BreakEvenSpec]:
-    if "breakeven" not in sections:
-        return base
-    found = sections["breakeven"]
-    _reject_unknown("breakeven", found, _BREAKEVEN_KEYS)
-    _check_gamma_keys("breakeven", found)
-
-    values: Dict[str, object] = {"gamma": None, "gamma_up": None, "gamma_down": None, "eta": 0.0}
-    if base is not None:
-        values.update(
-            reduction_fraction=base.reduction_fraction,
-            target_years=base.target_years,
-            adjustable_base=base.adjustable_base,
-            core_floor=base.core_floor,
-            window=base.window,
-            gamma=base.gamma,
-            eta=base.eta,
-            gamma_up=base.gamma_up,
-            gamma_down=base.gamma_down,
-        )
-    for key, entry in found.items():
-        if key in ("target_years", "window"):
-            values[key] = _take_int(entry, f"[breakeven] {key}")
-        else:
-            values[key] = _take_number(entry, f"[breakeven] {key}")
-        overrides.append(f"breakeven.{key}")
-    if "gamma" in found:
-        values["gamma_up"] = None
-        values["gamma_down"] = None
-    elif "gamma_up" in found:
-        values["gamma"] = None
-    missing = [k for k in ("reduction_fraction", "target_years") if values.get(k) is None]
-    if missing:
-        raise ValidationError(f"[breakeven] is missing required keys: {', '.join(missing)}")
-    if values["gamma"] is None and values["gamma_up"] is None:
-        values["gamma"] = 0.0
-    return BreakEvenSpec(**values)  # type: ignore[arg-type]
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -432,7 +328,12 @@ def parse_scenario_info(text: str) -> Tuple[Scenario, ScenarioFileInfo]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_number(value: float) -> str:
+def _render(key: str, value: object) -> str:
+    kind = _KINDS.get(key, float)
+    if kind is str:
+        return f'"{value}"'
+    if kind is int:
+        return str(value)
     # repr of a Python float is the shortest string that parses back exactly.
     return repr(float(value))
 
@@ -442,59 +343,15 @@ def serialize_scenario(scenario: Scenario) -> str:
 
     Deterministic byte output: parse(serialize(s)) equals s exactly.
     """
-    lines: List[str] = []
-    lines.append(f'name = "{scenario.name}"')
-    lines.append(f"beta = {_fmt_number(scenario.beta)}")
-    lines.append(f"horizon = {scenario.horizon}")
-    lines.append("")
-    lines.append("[baseline]")
-    for cat in CATEGORIES:
-        lines.append(f"{cat.key} = {_fmt_number(scenario.baseline.get(cat))}")
-    lines.append("")
-    lines.append("[target]")
-    for cat in CATEGORIES:
-        lines.append(f"{cat.key} = {_fmt_number(scenario.cost.target.get(cat))}")
-    lines.append("")
-    lines.append("[weights]")
-    for cat, w in zip(CATEGORIES, scenario.cost.weights):
-        lines.append(f"{cat.key} = {_fmt_number(w)}")
-    lines.append(f"total = {_fmt_number(scenario.cost.total_weight)}")
-    lines.append(f"total_reference = {_fmt_number(scenario.cost.total_reference)}")
-    for idx, cat in enumerate(CATEGORIES):
-        lines.append("")
-        lines.append(f"[rigidity.{cat.key}]")
-        if scenario.rigidity.is_asymmetric:
-            lines.append(f"gamma_up = {_fmt_number(scenario.rigidity.gamma_up[idx])}")
-            lines.append(f"gamma_down = {_fmt_number(scenario.rigidity.gamma_down[idx])}")
-        else:
-            lines.append(f"gamma = {_fmt_number(scenario.rigidity.gamma[idx])}")
-        lines.append(f"eta = {_fmt_number(scenario.rigidity.eta[idx])}")
-    if scenario.delta_bounds is not None:
-        for cat, (lo, hi) in zip(CATEGORIES, scenario.delta_bounds):
-            if lo == -np.inf and hi == np.inf:
-                continue
-            lines.append("")
-            lines.append(f"[bounds.{cat.key}]")
-            if lo != -np.inf:
-                lines.append(f"min_change = {_fmt_number(lo)}")
-            if hi != np.inf:
-                lines.append(f"max_change = {_fmt_number(hi)}")
-    be = scenario.breakeven
-    if be is not None:
-        lines.append("")
-        lines.append("[breakeven]")
-        lines.append(f"reduction_fraction = {_fmt_number(be.reduction_fraction)}")
-        lines.append(f"target_years = {be.target_years}")
-        lines.append(f"adjustable_base = {_fmt_number(be.adjustable_base)}")
-        lines.append(f"core_floor = {_fmt_number(be.core_floor)}")
-        lines.append(f"window = {be.window}")
-        if be.is_asymmetric:
-            lines.append(f"gamma_up = {_fmt_number(be.gamma_up)}")
-            lines.append(f"gamma_down = {_fmt_number(be.gamma_down)}")
-        else:
-            lines.append(f"gamma = {_fmt_number(be.gamma)}")
-        lines.append(f"eta = {_fmt_number(be.eta)}")
+    lines = []
+    for section, fields in _fields(scenario).items():
+        body = [f"{key} = {_render(key, value)}" for key, value in fields.items() if value is not None]
+        if section and body:
+            lines += ["", f"[{section}]"]
+        lines += body
     return "\n".join(lines) + "\n"
+
+
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fistrans
 from fistrans import load_default_preset, serialize_scenario
 from fistrans.cli import EXIT_INVALID, EXIT_NOT_CONVERGED, EXIT_OK, run_cli
 
@@ -179,3 +183,19 @@ def test_user_preset_directory(tmp_path, capsys, monkeypatch):
     assert run_cli(["breakeven", "--preset", "mine"]) == EXIT_INVALID  # no breakeven block
     capsys.readouterr()
     assert run_cli(["simulate", "--preset", "mine"]) == EXIT_OK
+
+
+def test_simulate_rejects_horizon_past_the_float_range(tmp_path, capsys):
+    path = tmp_path / "far.scn"
+    path.write_text("beta = 0.5\nhorizon = 2200\n", encoding="utf-8")
+    assert run_cli(["simulate", str(path)]) == EXIT_INVALID
+    assert "beta = 0.5" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize costs about 0.4 s of every cold start; no module needs it.
+    src = str(Path(fistrans.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fistrans; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "False"

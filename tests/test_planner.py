@@ -433,3 +433,12 @@ def test_stage_cost_minimizer_closed_form():
     shift = (100.0 - 97.0) / (1.0 + 0.25 * (4 / 0.25))
     assert np.allclose(anchor, preset.targets.as_array() - (0.25 * shift / 0.25), atol=1e-12)
     assert anchor.sum() == pytest.approx(97.0 + shift, abs=1e-12)
+
+
+def test_horizon_past_the_float_range_of_the_discount_is_rejected():
+    # beta^(T/2) is about 1e-301 at T = 2000 and below the smallest normal
+    # float at T = 2200, where the scaled Newton system cannot hold the late dates.
+    preset = load_default_preset().scenario()
+    assert solve(dataclasses.replace(preset, beta=0.5, horizon=2000)).converged
+    with pytest.raises(ValidationError, match=r"beta = 0\.5.*T = 2200"):
+        solve(dataclasses.replace(preset, beta=0.5, horizon=2200))

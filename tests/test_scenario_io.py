@@ -1,7 +1,13 @@
+import dataclasses
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fistrans import (
+    CATEGORIES,
+    BreakEvenSpec,
     ScenarioSyntaxError,
     ValidationError,
     load_default_preset,
@@ -12,6 +18,17 @@ from fistrans import (
 from fistrans.scenario_io import build_report, emit_trajectory_csv, load_preset_scenario
 
 from helpers import random_scenario
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def user_presets(tmp_path, monkeypatch):
+    """Presets "asym" (asymmetric rigidity and break-even block) and "sym"
+    (symmetric ones), resolved through FISTRANS_PRESET_DIR."""
+    shutil.copy(REPO / "tests" / "golden" / "asymmetric_variant.scn", tmp_path / "asym.scn")
+    shutil.copy(REPO / "demos" / "scenarios" / "admin_savings_a.scn", tmp_path / "sym.scn")
+    monkeypatch.setenv("FISTRANS_PRESET_DIR", str(tmp_path))
 
 
 def test_minimal_file_equals_default_preset():
@@ -45,6 +62,11 @@ def test_unknown_key_is_rejected_with_line_number():
 def test_unknown_section_is_rejected():
     with pytest.raises(ScenarioSyntaxError, match=r"unknown section \[weightz\]"):
         parse_scenario("[weightz]\ntransfers = 1.0\n")
+    # The error points at the header, with or without keys below it.
+    with pytest.raises(ScenarioSyntaxError, match=r"line 4, .*unknown section \[weightz\]"):
+        parse_scenario("beta = 0.9\n\n\n[weightz]\n")
+    with pytest.raises(ScenarioSyntaxError, match=r"line 3, .*unknown section \[weightz\]"):
+        parse_scenario("beta = 0.9\n\n[weightz]\n\ntransfers = 1.0\n")
 
 
 def test_syntax_errors_carry_position():
@@ -156,14 +178,107 @@ def test_round_trip_default_preset():
     assert serialize_scenario(parse_scenario(text)) == text
 
 
+def _mixed_bounds(rng: np.random.Generator):
+    """One-sided, infinite, frozen and two-sided limits in a random order."""
+    kinds = [
+        (-float(rng.uniform(0.2, 3.0)), np.inf),
+        (-np.inf, float(rng.uniform(0.2, 3.0))),
+        (-np.inf, np.inf),
+        (0.0, 0.0),
+    ]
+    if rng.random() < 0.5:
+        kinds[2] = (-float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0)))
+    return tuple(kinds[k] for k in rng.permutation(len(kinds)))
+
+
+def _asymmetric_breakeven(rng: np.random.Generator) -> BreakEvenSpec:
+    return BreakEvenSpec(
+        reduction_fraction=float(rng.uniform(0.05, 0.5)),
+        target_years=int(rng.integers(1, 8)),
+        adjustable_base=float(rng.uniform(50.0, 150.0)),
+        core_floor=float(rng.uniform(0.0, 20.0)),
+        window=int(rng.integers(3, 9)),
+        gamma_up=float(rng.uniform(0.0, 4.0)),
+        gamma_down=float(rng.uniform(0.0, 6.0)),
+        eta=float(rng.uniform(0.0, 0.5)),
+    )
+
+
 def test_round_trip_fifty_random_scenarios():
     rng = np.random.default_rng(2024)
+    # A second stream, so the draws of random_scenario stay as they were.
+    extra = np.random.default_rng(2025)
     for i in range(50):
         scen = random_scenario(rng, with_bounds=bool(i % 3 == 0), with_breakeven=bool(i % 2 == 0))
-        text = serialize_scenario(scen)
-        again = parse_scenario(text)
-        assert again == scen, f"round trip failed for case {i}"
-        assert serialize_scenario(again) == text
+        variant = dataclasses.replace(scen, delta_bounds=_mixed_bounds(extra), breakeven=_asymmetric_breakeven(extra))
+        for case in (scen, variant):
+            text = serialize_scenario(case)
+            again = parse_scenario(text)
+            assert again == case, f"round trip failed for case {i}"
+            assert serialize_scenario(again) == text
+
+
+@pytest.mark.parametrize("name", ['a"b', "a\nb", "a\x85b", "a\u2028b"])
+def test_names_the_file_format_cannot_carry_are_rejected(name):
+    with pytest.raises(ValidationError, match="name"):
+        dataclasses.replace(load_default_preset().scenario(), name=name)
+
+
+def test_asymmetric_preset_stays_asymmetric_when_every_category_sets_gamma(user_presets):
+    gammas = (2.0, 3.0, 4.0, 5.0)
+    text = 'preset = "asym"\n' + "".join(f"[rigidity.{cat.key}]\ngamma = {g}\n" for cat, g in zip(CATEGORIES, gammas))
+    rigidity = parse_scenario(text).rigidity
+    assert rigidity.is_asymmetric
+    assert rigidity.gamma_up == gammas
+    assert rigidity.gamma_down == gammas
+
+
+def test_breakeven_gamma_over_asymmetric_preset_block_makes_it_symmetric(user_presets):
+    assert parse_scenario('preset = "asym"\n').breakeven.is_asymmetric
+    be = parse_scenario('preset = "asym"\n[breakeven]\ngamma = 0.9\n').breakeven
+    assert not be.is_asymmetric
+    assert (be.gamma, be.gamma_up, be.gamma_down) == (0.9, None, None)
+    assert (be.reduction_fraction, be.target_years, be.eta) == (0.1, 3, 0.05)
+    # And the pair over a symmetric block makes that one asymmetric.
+    assert not parse_scenario('preset = "sym"\n').breakeven.is_asymmetric
+    be = parse_scenario('preset = "sym"\n[breakeven]\ngamma_up = 1.0\ngamma_down = 2.0\n').breakeven
+    assert (be.gamma, be.gamma_up, be.gamma_down) == (None, 1.0, 2.0)
+    assert (be.reduction_fraction, be.target_years, be.eta) == (0.1, 3, 0.05)
+
+
+def test_infinite_limits_in_a_file_leave_no_bounds():
+    scen = parse_scenario("[bounds.wages]\nmin_change = -inf\nmax_change = inf\n")
+    assert scen.delta_bounds is None
+
+
+def test_overrides_of_a_file_touching_every_section():
+    text = (
+        'name = "all"\npreset = "paper-default"\nbeta = 0.9\nhorizon = 12\n'
+        "[weights]\ntotal = 0.1\ninvestment = 0.3\n"
+        "[baseline]\nwages = 20.0\n"
+        "[target]\noperating = 25.0\n"
+        "[rigidity.transfers]\ngamma_up = 4.0\ngamma_down = 5.0\n"
+        "[rigidity.investment]\neta = 0.7\n"
+        "[bounds.operating]\nmax_change = 2.0\n"
+        "[breakeven]\nreduction_fraction = 0.1\ntarget_years = 3\n"
+    )
+    _, info = parse_scenario_info(text)
+    assert info.preset == "paper-default"
+    assert info.overrides == (
+        "baseline.wages",
+        "beta",
+        "bounds.operating.max_change",
+        "breakeven.reduction_fraction",
+        "breakeven.target_years",
+        "horizon",
+        "name",
+        "rigidity.investment.eta",
+        "rigidity.transfers.gamma_down",
+        "rigidity.transfers.gamma_up",
+        "target.operating",
+        "weights.investment",
+        "weights.total",
+    )
 
 
 def test_key_order_does_not_matter():
