@@ -19,6 +19,7 @@ non-convergence. Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -44,7 +45,9 @@ EXIT_INVALID = 1
 EXIT_NOT_CONVERGED = 2
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fistrans",
         description="Simulate public-expenditure transitions under convex adjustment costs.",

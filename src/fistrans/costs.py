@@ -35,6 +35,7 @@ __all__ = [
     "adjustment_cost",
     "stage_cost",
     "gradient_check",
+    "quad_cubic",
     "quad_cubic_value",
     "quad_cubic_marginal",
     "quad_cubic_curvature",
@@ -55,29 +56,33 @@ class CostEval:
         object.__setattr__(self, "gradient", grad)
 
 
-def _gamma(d, gamma_up, gamma_down):
-    """The quadratic curvature that applies to each change: up for d > 0, down otherwise."""
-    return np.where(d > 0.0, gamma_up, gamma_down)
+def quad_cubic(d, gamma_up, gamma_down, eta):
+    """Elementwise value gamma/2 * d^2 + eta/3 * |d|^3, marginal gamma * d + eta * d * |d|
+    and curvature gamma + 2 * eta * |d|, with gamma = gamma_up for d > 0, else
+    gamma_down. The curvature's kink at d = 0 takes the mean gamma."""
+    d = np.asarray(d, dtype=float)
+    gamma = np.where(d > 0.0, gamma_up, gamma_down)
+    size = np.abs(d)
+    value = 0.5 * gamma * d * d + (np.asarray(eta) / 3.0) * size**3
+    marginal = gamma * d + eta * d * size
+    kink = 0.5 * (np.asarray(gamma_up) + np.asarray(gamma_down))
+    curvature = np.where(d == 0.0, kink, gamma) + 2.0 * eta * size
+    return value, marginal, curvature
 
 
 def quad_cubic_value(d, gamma_up, gamma_down, eta):
-    """Elementwise gamma/2 * d^2 + eta/3 * |d|^3, gamma = gamma_up for d > 0, else gamma_down."""
-    d = np.asarray(d, dtype=float)
-    return 0.5 * _gamma(d, gamma_up, gamma_down) * d * d + (np.asarray(eta) / 3.0) * np.abs(d) ** 3
+    """The value of :func:`quad_cubic`."""
+    return quad_cubic(d, gamma_up, gamma_down, eta)[0]
 
 
 def quad_cubic_marginal(d, gamma_up, gamma_down, eta):
-    """Elementwise derivative gamma * d + eta * d * |d|."""
-    d = np.asarray(d, dtype=float)
-    return _gamma(d, gamma_up, gamma_down) * d + eta * d * np.abs(d)
+    """The marginal of :func:`quad_cubic`."""
+    return quad_cubic(d, gamma_up, gamma_down, eta)[1]
 
 
 def quad_cubic_curvature(d, gamma_up, gamma_down, eta):
-    """Elementwise second derivative gamma + 2 * eta * |d|; the kink at d = 0 takes the mean gamma."""
-    d = np.asarray(d, dtype=float)
-    mean = 0.5 * (np.asarray(gamma_up) + np.asarray(gamma_down))
-    quad = np.where(d == 0.0, mean, _gamma(d, gamma_up, gamma_down))
-    return quad + 2.0 * eta * np.abs(d)
+    """The curvature of :func:`quad_cubic`."""
+    return quad_cubic(d, gamma_up, gamma_down, eta)[2]
 
 
 def adjustment_cost(d: DeltaVector, p: RigidityParams) -> CostEval:
@@ -85,9 +90,8 @@ def adjustment_cost(d: DeltaVector, p: RigidityParams) -> CostEval:
     dv = d.as_array()
     g_up, g_dn = p.gamma_pair()
     eta = p.eta_array()
-    value = float(np.sum(quad_cubic_value(dv, g_up, g_dn, eta)))
-    grad = quad_cubic_marginal(dv, g_up, g_dn, eta)
-    return CostEval(value, grad)
+    value, grad, _ = quad_cubic(dv, g_up, g_dn, eta)
+    return CostEval(float(np.sum(value)), grad)
 
 
 def phi(d: DeltaVector, p: RigidityParams) -> CostEval:

@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy import linalg as sla
 
-from .costs import quad_cubic_curvature, quad_cubic_marginal, quad_cubic_value
+from .costs import quad_cubic, quad_cubic_marginal
 from .types import (
     N_CATEGORIES,
     ExpenditureVector,
@@ -146,21 +146,31 @@ class _Problem:
         self.eta = scenario.rigidity.eta_array()
         self.wT = config.terminal_weight
         self.anchor = stage_cost_minimizer(scenario)
-        self.lo, self.hi = scenario.bounds_arrays()
-        self.frozen = self.lo == self.hi
-        self.has_lo = np.isfinite(self.lo) & ~self.frozen
-        self.has_hi = np.isfinite(self.hi) & ~self.frozen
+        self.value0 = float(self.stage_values(self.x0))
+        self.tail_weight = (self.beta ** self.T) * self.wT
+        # The change limits as a pair, lower then upper, each broadcasting
+        # over dates: a limit's slack is sign * (d - limit).
+        lo, hi = scenario.bounds_arrays()
+        self.frozen = lo == hi
+        self.limits = np.stack([lo, hi])[:, None, :]
+        self.sign = np.array([1.0, -1.0])[:, None, None]
+        self.has = np.isfinite(self.limits) & ~self.frozen
+        self.orient = self.sign * self.has
+        # The Hessian band's entries that no iterate changes; ``band`` fills
+        # in the rest. Row 0 couples (t-1, k) with (t, k); rows 1..3 hold the
+        # total penalty's coupling of categories within a date; row 4 the
+        # diagonal, to which each date's next curvature adds (date T's: the
+        # anchor's).
+        n = N_CATEGORIES
+        free = ~self.frozen
+        self._band = np.zeros((n + 1, self.T, n))
+        for offset in range(1, n):
+            self._band[n - offset, :, offset:] = self.w_total * (free[:-offset] & free[offset:])
+        self._coupling = -np.sqrt(self.beta) * free
+        self._diag = self.w + self.w_total
+        self._next = np.full((self.T, n), 2.0 * self.wT)
 
     # -- cost pieces over stacked arrays ------------------------------------
-
-    def phi_values(self, d: np.ndarray) -> np.ndarray:
-        return quad_cubic_value(d, self.g_up, self.g_dn, self.eta).sum(axis=-1)
-
-    def phi_marginal(self, d: np.ndarray) -> np.ndarray:
-        return quad_cubic_marginal(d, self.g_up, self.g_dn, self.eta)
-
-    def phi_curvature(self, d: np.ndarray) -> np.ndarray:
-        return quad_cubic_curvature(d, self.g_up, self.g_dn, self.eta)
 
     def stage_values(self, x: np.ndarray) -> np.ndarray:
         gap = x - self.xstar
@@ -174,45 +184,44 @@ class _Problem:
 
     # -- objective and its derivatives in x_1..x_T ---------------------------
 
-    def changes(self, x: np.ndarray) -> np.ndarray:
-        return np.diff(x, axis=0, prepend=self.x0[None, :])
-
-    def objective(self, d: np.ndarray) -> float:
-        x = self.x0 + np.cumsum(d, axis=0)
-        value = float(self.stage_values(self.x0))
-        value += float(self.disc @ (self.stage_values(x) + self.phi_values(d)))
+    def evaluate(self, d: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
+        """Objective at the changes d_1..d_T, with the marginal and curvature
+        adjustment cost of each change."""
+        phi, marg, curv = quad_cubic(d, self.g_up, self.g_dn, self.eta)
+        x = self.x0 + d.cumsum(axis=0)
+        value = self.value0 + float(self.disc @ (self.stage_values(x) + phi.sum(axis=-1)))
         tail = x[-1] - self.anchor
-        value += (self.beta ** self.T) * self.wT * float(tail @ tail)
-        return value
+        return value + self.tail_weight * float(tail @ tail), marg, curv
 
-    def residuals(self, x: np.ndarray, marg: np.ndarray) -> np.ndarray:
+    def pull(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The part of the residuals in x_1..x_T that no marginal cost enters:
+        the stage gradients, and the anchor's pull on date T."""
+        return self.stage_grads(x), 2.0 * self.wT * (x[-1] - self.anchor)
+
+    def residuals(self, pull: Tuple[np.ndarray, np.ndarray], marg: np.ndarray) -> np.ndarray:
         """Current-value gradient in x_1..x_T (row t divided by beta^t), given
         the marginal cost of each change. A frozen category's free multiplier
         absorbs its entries."""
-        r = self.stage_grads(x) + marg
+        stage, anchor = pull
+        r = stage + marg
         r[:-1] -= self.beta * marg[1:]
-        r[-1] += 2.0 * self.wT * (x[-1] - self.anchor)
-        r[:, self.frozen] = 0.0
+        r[-1] += anchor
+        np.copyto(r, 0.0, where=self.frozen)
         return r
 
     def band(self, curv: np.ndarray) -> np.ndarray:
         """Upper band (bandwidth 4) of the Hessian in x_1..x_T, given the
         current-value curvature of each change. Rows and columns of date t
-        are scaled by beta^(-t/2), which leaves every entry of order one."""
+        are scaled by beta^(-t/2), which leaves every entry of order one.
+        Filled in place: each call overwrites the previous call's band."""
         n = N_CATEGORIES
-        free = ~self.frozen
-        ab = np.zeros((n + 1, self.T, n))
-        # Row 0 couples (t-1, k) with (t, k); rows 1..3 hold the total
-        # penalty's coupling of categories within a date; row 4 the diagonal.
-        ab[0, 1:] = -np.sqrt(self.beta) * curv[1:]
-        for offset in range(1, n):
-            ab[n - offset, :, offset:] = self.w_total * (free[:-offset] & free[offset:])
-        diag = self.w + self.w_total + curv
-        diag[:-1] += self.beta * curv[1:]
-        diag[-1] += 2.0 * self.wT
-        ab[n] = diag + _RIDGE * (1.0 + diag)
-        ab[0][:, self.frozen] = 0.0
-        ab[n][:, self.frozen] = 1.0
+        ab = self._band
+        np.multiply(curv[1:], self._coupling, out=ab[0, 1:])
+        np.multiply(curv[1:], self.beta, out=self._next[:-1])
+        diag = self._diag + curv
+        diag += self._next
+        np.add(diag, _RIDGE * (1.0 + diag), out=ab[n])
+        np.copyto(ab[n], 1.0, where=self.frozen)
         return ab.reshape(n + 1, self.T * n)
 
 
@@ -240,17 +249,24 @@ def _initial_allocations(problem: _Problem) -> np.ndarray:
         d0 = np.zeros((problem.T, N_CATEGORIES))
     else:
         d0 = np.tile((problem.anchor - problem.x0) / problem.T, (problem.T, 1))
-    margin = np.minimum(0.25 * (problem.hi - problem.lo), _START_MARGIN)
-    d0 = np.clip(d0, problem.lo + margin, problem.hi - margin)
+    lo, hi = problem.limits[:, 0]
+    margin = np.minimum(0.25 * (hi - lo), _START_MARGIN)
+    d0 = np.clip(d0, lo + margin, hi - margin)
     return problem.x0 + np.cumsum(d0, axis=0)
+
+
+def _differences(x: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Year-on-year differences of the rows of ``x``, the first taken from ``first``."""
+    d = np.empty_like(x)
+    np.subtract(x[0], first, out=d[0])
+    np.subtract(x[1:], x[:-1], out=d[1:])
+    return d
 
 
 def _step_to_boundary(values: np.ndarray, steps: np.ndarray) -> float:
     """Largest step in (0, 1] that keeps positive ``values`` positive, with a margin."""
-    shrinking = steps < 0.0
-    if not np.any(shrinking):
-        return 1.0
-    return float(min(1.0, _STEP_TO_BOUNDARY * np.min(-values[shrinking] / steps[shrinking])))
+    ratio = np.divide(values, steps, out=np.full_like(values, -np.inf), where=steps < 0.0)
+    return float(min(1.0, _STEP_TO_BOUNDARY * -ratio.max()))
 
 
 def _complementarity(slack: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -274,88 +290,80 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
             "the smallest normal float; the late dates cannot be solved"
         )
     problem = _Problem(scenario, cfg)
-    has_lo, has_hi = problem.has_lo, problem.has_hi
-    n_limits = problem.T * int(np.sum(has_lo) + np.sum(has_hi))
+    has, sign = problem.has, problem.sign
+    n_limits = problem.T * int(np.sum(has))
     # The Newton system is solved scaled by beta^(t/2), so the gradient
     # below is the objective's scaled the same way.
     root = (problem.beta ** (np.arange(1, problem.T + 1) / 2.0))[:, None]
 
     x = _initial_allocations(problem)
-    d = problem.changes(x)
-    # Slacks and multipliers are carried as iterates; columns without a
-    # limit hold slack 1 and multiplier 0, so they drop out of every formula.
-    # Recomputing a slack as d - lo would round to zero near an active limit.
-    s_lo = np.where(has_lo, d - problem.lo, 1.0)
-    s_hi = np.where(has_hi, problem.hi - d, 1.0)
-    z_lo = np.where(has_lo, 1.0, 0.0) * np.ones_like(d)
-    z_hi = np.where(has_hi, 1.0, 0.0) * np.ones_like(d)
+    d = _differences(x, problem.x0)
+    # Slacks and multipliers are carried as iterates, stacked (lower, upper)
+    # on the first axis; columns without a limit hold slack 1 and multiplier
+    # 0, so they drop out of every formula. Recomputing a slack from d would
+    # round to zero near an active limit.
+    s = np.where(has, sign * (d - problem.limits), 1.0)
+    z = has * np.ones_like(s)
 
-    def log_barrier(mu_lo: np.ndarray, mu_hi: np.ndarray, lo_slack: np.ndarray, hi_slack: np.ndarray) -> float:
-        return float(problem.disc @ (mu_lo * np.log(lo_slack) + mu_hi * np.log(hi_slack)).sum(axis=1))
+    def log_barrier(mu: np.ndarray, slack: np.ndarray) -> float:
+        return float(problem.disc @ (mu * np.log(slack)).sum(axis=0).sum(axis=1))
 
-    value = problem.objective(d)
+    value, marg, curv = problem.evaluate(d)
     history: List[float] = [value]
     iterations = 0
     for _ in range(cfg.max_iterations):
-        marg = problem.phi_marginal(d)
-        dual = np.max(np.abs(problem.residuals(x, marg - z_lo + z_hi)))
-        comp_lo = _complementarity(s_lo, z_lo)
-        comp_hi = _complementarity(s_hi, z_hi)
-        settled = max(np.max(comp_lo), np.max(comp_hi)) <= _COMP_TOL
+        pull = problem.pull(x)
+        dual = np.abs(problem.residuals(pull, marg - z[0] + z[1])).max()
+        comp = _complementarity(s, z)
+        settled = comp.max() <= _COMP_TOL
         if settled and dual <= min(_DUAL_TOL, cfg.gradient_tol):
             break
-        avg = float(np.sum(comp_lo) + np.sum(comp_hi)) / n_limits if n_limits else 0.0
+        avg = float(comp[0].sum() + comp[1].sum()) / n_limits if n_limits else 0.0
         mu = min(_CENTERING * avg, avg ** 1.5)
-        mu_lo = has_lo * np.maximum(mu, _COMP_FLOOR * np.maximum(z_lo, 1.0))
-        mu_hi = has_hi * np.maximum(mu, _COMP_FLOOR * np.maximum(z_hi, 1.0))
+        mu_pair = has * np.maximum(mu, _COMP_FLOOR * np.maximum(z, 1.0))
 
         # Newton step on the barrier problem: the limits' primal-dual terms
         # enter the marginal and curvature of each change.
-        inv_lo = has_lo / s_lo
-        inv_hi = has_hi / s_hi
-        grad = root * problem.residuals(x, marg - mu_lo * inv_lo + mu_hi * inv_hi)
-        curv = problem.phi_curvature(d) + z_lo * inv_lo + z_hi * inv_hi
+        inv = has / s
+        mu_over_s = mu_pair * inv
+        z_over_s = z * inv
+        grad = root * problem.residuals(pull, marg - mu_over_s[0] + mu_over_s[1])
         try:
-            step = sla.solveh_banded(problem.band(curv), -grad.ravel()).reshape(x.shape)
+            band = problem.band(curv + z_over_s[0] + z_over_s[1])
+            step = sla.solveh_banded(band, -grad.ravel()).reshape(x.shape)
         except np.linalg.LinAlgError:
             break
-        slope = float(np.sum(grad * step))
+        slope = float((grad * step).sum())
         if not slope < 0.0:
             break
         dx = step / root
         # The change step is the first difference of the allocation step;
         # differencing two iterates would lose it to cancellation.
-        dd = np.diff(dx, axis=0, prepend=np.zeros((1, N_CATEGORIES)))
-        ds_lo = has_lo * dd
-        ds_hi = -(has_hi * dd)
-        dz_lo = mu_lo * inv_lo - z_lo - z_lo * inv_lo * ds_lo
-        dz_hi = mu_hi * inv_hi - z_hi - z_hi * inv_hi * ds_hi
+        ds = problem.orient * _differences(dx, 0.0)
+        dz = mu_over_s - z - z_over_s * ds
 
         # Armijo backtracking on the barrier merit from the largest step
         # that keeps the slacks positive. Changes below the merit's roundoff
         # pass, so late dates, whose weight beta^t sits below it, still move.
-        alpha = min(_step_to_boundary(s_lo, ds_lo), _step_to_boundary(s_hi, ds_hi))
-        merit = value - log_barrier(mu_lo, mu_hi, s_lo, s_hi)
+        alpha = _step_to_boundary(s, ds)
+        merit = value - log_barrier(mu_pair, s)
         resolution = 1e-15 * (1.0 + abs(merit))
         for _ in range(_MAX_BACKTRACKS):
             x_new = x + alpha * dx
-            d_new = problem.changes(x_new)
-            value_new = problem.objective(d_new)
-            merit_new = value_new - log_barrier(mu_lo, mu_hi, s_lo + alpha * ds_lo, s_hi + alpha * ds_hi)
+            trial = problem.evaluate(_differences(x_new, problem.x0))
+            merit_new = trial[0] - log_barrier(mu_pair, s + alpha * ds)
             if merit_new <= merit + _ARMIJO_C1 * alpha * slope + resolution:
                 break
             alpha *= 0.5
         else:
             break
-        alpha_z = min(_step_to_boundary(z_lo, dz_lo), _step_to_boundary(z_hi, dz_hi))
-        x, d, value = x_new, d_new, value_new
-        s_lo = s_lo + alpha * ds_lo
-        s_hi = s_hi + alpha * ds_hi
-        z_lo = z_lo + alpha_z * dz_lo
-        z_hi = z_hi + alpha_z * dz_hi
+        x = x_new
+        value, marg, curv = trial
+        s = s + alpha * ds
+        z = z + _step_to_boundary(z, dz) * dz
         history.append(value)
         iterations += 1
-        if settled and np.max(np.abs(dx)) <= _ROUNDOFF * np.max(np.abs(x)):
+        if settled and np.abs(dx).max() <= _ROUNDOFF * np.abs(x).max():
             # The step moved no allocation beyond roundoff, so stationarity
             # is as tight as floating point allows at this scale.
             break
@@ -368,13 +376,14 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
     # Certify the trajectory as returned, at every date.
     x = trajectory.values[1:]
     d = trajectory.deltas()[1:]
-    residuals = np.abs(problem.residuals(x, problem.phi_marginal(d) - z_lo + z_hi))
+    objective, marg, _ = problem.evaluate(d)
+    residuals = np.abs(problem.residuals(problem.pull(x), marg - z[0] + z[1]))
     grad_norm = float(np.max(residuals))
     max_residual = float(np.max(residuals[:-1])) if problem.T >= 2 else 0.0
-    violation = max(0.0, float(np.max(np.maximum(problem.lo - d, d - problem.hi))))
-    slack_lo = np.abs(np.where(has_lo, d - problem.lo, 0.0))
-    slack_hi = np.abs(np.where(has_hi, problem.hi - d, 0.0))
-    comp = max(np.max(_complementarity(slack_lo, z_lo)), np.max(_complementarity(slack_hi, z_hi)))
+    # Each limit's slack, negative where the limit is violated.
+    gap = sign * (d - problem.limits)
+    violation = max(0.0, float(np.max(-gap)))
+    comp = float(np.max(_complementarity(np.abs(np.where(has, gap, 0.0)), z)))
 
     converged = bool(
         grad_norm <= cfg.gradient_tol and max_residual <= cfg.euler_tol and max(comp, violation) <= cfg.gradient_tol
@@ -382,7 +391,7 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
     return SolveReport(
         converged=converged,
         iterations=iterations,
-        objective=problem.objective(d),
+        objective=objective,
         gradient_norm=grad_norm,
         max_euler_residual=max_residual,
         trajectory=trajectory,
@@ -402,8 +411,7 @@ def objective_value(trajectory: Trajectory, scenario: Scenario, config: Optional
             f"trajectory horizon {trajectory.horizon} does not match scenario horizon {scenario.horizon}"
         )
     problem = _Problem(scenario, cfg)
-    d = trajectory.deltas()[1:]
-    return problem.objective(d)
+    return problem.evaluate(trajectory.deltas()[1:])[0]
 
 
 def euler_residuals(traj: Trajectory, scenario: Scenario) -> np.ndarray:
@@ -418,7 +426,7 @@ def euler_residuals(traj: Trajectory, scenario: Scenario) -> np.ndarray:
     problem = _Problem(scenario, SolverConfig())
     x = traj.values
     d = traj.deltas()
-    marg = problem.phi_marginal(d)
+    marg = quad_cubic_marginal(d, problem.g_up, problem.g_dn, problem.eta)
     interior = slice(1, traj.horizon)
     return problem.stage_grads(x[interior]) + marg[interior] - scenario.beta * marg[2:]
 

@@ -346,9 +346,12 @@ class Scenario:
     breakeven: Optional[BreakEvenSpec] = None
 
     def __post_init__(self) -> None:
-        # Scenario files quote the name on one line, so it may hold no '"' and
-        # no character str.splitlines splits on (the '.' catches a trailing one).
-        if '"' in str(self.name) or len(f"{self.name}.".splitlines()) > 1:
+        # Scenario files quote the name on one line, so it must be a string
+        # holding no '"' and no character str.splitlines splits on (the '.'
+        # catches a trailing one).
+        if not isinstance(self.name, str):
+            raise ValidationError(f"name must be a string, got {self.name!r}")
+        if '"' in self.name or len(f"{self.name}.".splitlines()) > 1:
             raise ValidationError(f"name must not contain a double quote or a line break, got {self.name!r}")
         beta = float(self.beta)
         if not (0.0 < beta < 1.0):

@@ -8,7 +8,7 @@ import pytest
 
 import fistrans
 from fistrans import load_default_preset, serialize_scenario
-from fistrans.cli import EXIT_INVALID, EXIT_NOT_CONVERGED, EXIT_OK, run_cli
+from fistrans.cli import EXIT_INVALID, EXIT_NOT_CONVERGED, EXIT_OK, _build_parser, run_cli
 
 REPO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -145,6 +145,27 @@ def test_simulate_exhausted_budget_exits_two(capsys, short_scenario_file):
     captured = capsys.readouterr()
     assert "converged: False" in captured.out
     assert "did not converge" in captured.err
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    # The parser is built once per process; a budget given to one call must
+    # not reach the next, so each call prints what it prints on a fresh parser.
+    calls = ((["simulate", "--max-iterations", "1"], EXIT_NOT_CONVERGED), (["simulate"], EXIT_OK))
+
+    def run(argv, code):
+        assert run_cli(argv) == code
+        return capsys.readouterr()
+
+    alone = []
+    for argv, code in calls:
+        _build_parser.cache_clear()
+        alone.append(run(argv, code))
+    _build_parser.cache_clear()
+    parser = _build_parser()
+    together = [run(argv, code) for argv, code in calls]
+    assert _build_parser() is parser
+    assert together == alone
+    assert "converged: False" in together[0].out and "converged: True" in together[1].out
 
 
 def test_jshape_reports_rise_then_fall(capsys):

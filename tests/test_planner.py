@@ -21,6 +21,8 @@ from fistrans import (
     solve,
     stage_cost_minimizer,
 )
+from fistrans import planner
+from fistrans.calibration import asymmetric_variant
 
 from helpers import BASELINE, TARGETS, reform_scenario, scalar_scenario
 
@@ -442,3 +444,46 @@ def test_horizon_past_the_float_range_of_the_discount_is_rejected():
     assert solve(dataclasses.replace(preset, beta=0.5, horizon=2000)).converged
     with pytest.raises(ValidationError, match=r"beta = 0\.5.*T = 2200"):
         solve(dataclasses.replace(preset, beta=0.5, horizon=2200))
+
+
+def _preset(horizon, bound=None, asymmetric=False):
+    scen = load_default_preset().scenario()
+    rigidity = asymmetric_variant(scen.rigidity) if asymmetric else scen.rigidity
+    bounds = None if bound is None else ((-bound, bound),) * 4
+    return dataclasses.replace(scen, horizon=horizon, delta_bounds=bounds, rigidity=rigidity)
+
+
+# Iteration counts of the Newton loop on shipped cases. A rewrite of the
+# step's arithmetic that keeps the algorithm keeps the iterate sequence, and
+# with it these counts.
+PINNED_ITERATIONS = [
+    ((50, 0.5, False), 11),
+    ((300, 0.5, False), 12),
+    ((1000, None, False), 5),
+    ((50, None, True), 4),
+]
+
+
+@pytest.mark.parametrize("case, iterations", PINNED_ITERATIONS)
+def test_iteration_counts_are_pinned(case, iterations):
+    report = solve(_preset(*case))
+    assert report.converged
+    assert report.iterations == iterations
+
+
+@pytest.mark.parametrize("case", [(50, 0.5), (300, 0.5), (1000, None)])
+def test_one_banded_factorisation_per_step(monkeypatch, case):
+    calls = []
+    factorise = planner.sla.solveh_banded
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return factorise(*args, **kwargs)
+
+    monkeypatch.setattr(planner.sla, "solveh_banded", counted)
+    report = solve(_preset(*case))
+    assert report.converged
+    # The step that finds the iterate certified factorises nothing; a step
+    # whose line search fails would factorise once more than it counts.
+    assert len(calls) <= report.iterations + 1
+    assert len(report.objective_history) == report.iterations + 1

@@ -224,6 +224,13 @@ def test_names_the_file_format_cannot_carry_are_rejected(name):
         dataclasses.replace(load_default_preset().scenario(), name=name)
 
 
+@pytest.mark.parametrize("name", [123, 1.5, None, b"bytes"])
+def test_names_that_are_not_strings_are_rejected(name):
+    # A file quotes every name, so 123 would parse back as the string "123".
+    with pytest.raises(ValidationError, match="name must be a string"):
+        dataclasses.replace(load_default_preset().scenario(), name=name)
+
+
 def test_asymmetric_preset_stays_asymmetric_when_every_category_sets_gamma(user_presets):
     gammas = (2.0, 3.0, 4.0, 5.0)
     text = 'preset = "asym"\n' + "".join(f"[rigidity.{cat.key}]\ngamma = {g}\n" for cat, g in zip(CATEGORIES, gammas))
