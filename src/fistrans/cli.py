@@ -26,10 +26,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analytics import baseline_gap, equal_step_path, jshape_condition, savings_series
+from .analytics import JShapeVerdict, baseline_gap, equal_step_path, jshape_condition, savings_series
 from .calibration import DEFAULT_PRESET_NAME, load_default_preset
 from .costs import adjustment_cost, stage_cost
-from .planner import SolverConfig, gradualism_metric, stage_cost_minimizer
+from .planner import SolveReport, SolverConfig, gradualism_metric, stage_cost_minimizer
 from .scenario_io import (
     RunReport,
     ScenarioSyntaxError,
@@ -107,16 +107,22 @@ def _print_summary(report: RunReport, out) -> None:
         # itself is unaffected.
         closure = "n/a"
     print(f"first_year_gap_closure: {closure}", file=out)
-    verdict = report.jshape
-    print(
-        f"j_shaped: {verdict.is_j_shaped} (peak year {verdict.peak_index}, "
-        f"peak {verdict.peak_value:.4f}, terminal {verdict.terminal_value:.4f})",
-        file=out,
-    )
+    _print_verdict(report.jshape, out)
     if report.savings is not None:
         s = report.savings
         print(f"breakeven_year: {s.breakeven_label}", file=out)
         print(f"cumulative_net_savings[0..{s.window}]: {s.windowed_cumulative:.2f}", file=out)
+
+
+def _print_verdict(v: JShapeVerdict, out) -> None:
+    detail = f"peak year {v.peak_index}, peak {v.peak_value:.4f}, terminal {v.terminal_value:.4f}"
+    print(f"j_shaped: {v.is_j_shaped} ({detail})", file=out)
+
+
+def _not_converged(r: SolveReport) -> int:
+    reason = f"{r.termination} after {r.iterations} iterations (gradient_norm {r.gradient_norm:.3e})"
+    print(f"solver did not converge: {reason}", file=sys.stderr)
+    return EXIT_NOT_CONVERGED
 
 
 def _solver_config(args: argparse.Namespace) -> Optional[SolverConfig]:
@@ -135,10 +141,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else:
             Path(args.out).write_text(csv_text, encoding="utf-8")
             print(f"csv: {args.out}", file=sys.stdout)
-    if not report.solve.converged:
-        print("solver did not converge within the iteration budget", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return EXIT_OK if report.solve.converged else _not_converged(report.solve)
 
 
 def _cmd_breakeven(args: argparse.Namespace) -> int:
@@ -185,21 +188,14 @@ def _cmd_jshape(args: argparse.Namespace) -> int:
     c_x0 = stage_cost(scenario.baseline, scenario.cost).value
     c_star = stage_cost(long_run, scenario.cost).value
     holds = jshape_condition(intended, c_x0, c_star)
-    verdict = report.jshape
     solved_first = float(report.g_eff[1] - report.solve.trajectory.totals()[1])
     print(f"scenario: {scenario.name}")
     print(f"intended_reallocation_outlay: {intended:.4f}")
     print(f"solved_first_year_outlay: {solved_first:.4f}")
     print(f"long_run_cost_gain: {c_x0 - c_star:.4f}")
     print(f"outlay_exceeds_gain: {holds}")
-    print(
-        f"j_shaped: {verdict.is_j_shaped} (peak year {verdict.peak_index}, "
-        f"peak {verdict.peak_value:.4f}, terminal {verdict.terminal_value:.4f})"
-    )
-    if not report.solve.converged:
-        print("solver did not converge within the iteration budget", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    _print_verdict(report.jshape, sys.stdout)
+    return EXIT_OK if report.solve.converged else _not_converged(report.solve)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

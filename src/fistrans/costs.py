@@ -36,9 +36,6 @@ __all__ = [
     "stage_cost",
     "gradient_check",
     "quad_cubic",
-    "quad_cubic_value",
-    "quad_cubic_marginal",
-    "quad_cubic_curvature",
 ]
 
 
@@ -68,21 +65,6 @@ def quad_cubic(d, gamma_up, gamma_down, eta):
     kink = 0.5 * (np.asarray(gamma_up) + np.asarray(gamma_down))
     curvature = np.where(d == 0.0, kink, gamma) + 2.0 * eta * size
     return value, marginal, curvature
-
-
-def quad_cubic_value(d, gamma_up, gamma_down, eta):
-    """The value of :func:`quad_cubic`."""
-    return quad_cubic(d, gamma_up, gamma_down, eta)[0]
-
-
-def quad_cubic_marginal(d, gamma_up, gamma_down, eta):
-    """The marginal of :func:`quad_cubic`."""
-    return quad_cubic(d, gamma_up, gamma_down, eta)[1]
-
-
-def quad_cubic_curvature(d, gamma_up, gamma_down, eta):
-    """The curvature of :func:`quad_cubic`."""
-    return quad_cubic(d, gamma_up, gamma_down, eta)[2]
 
 
 def adjustment_cost(d: DeltaVector, p: RigidityParams) -> CostEval:

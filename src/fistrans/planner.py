@@ -32,13 +32,13 @@ next year's marginal), together with complementarity z * slack ~ 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import linalg as sla
 
-from .costs import quad_cubic, quad_cubic_marginal
+from .costs import quad_cubic
 from .types import (
     N_CATEGORIES,
     ExpenditureVector,
@@ -117,7 +117,11 @@ class SolveReport:
     interior dates 1..T-1, both with the change-limit multipliers.
     ``converged`` holds only when the first meets the gradient tolerance,
     the second meets the residual tolerance, and every change limit holds
-    with complementarity within the gradient tolerance.
+    with complementarity within the gradient tolerance. ``termination``
+    then reads ``converged``; otherwise it says why the loop stopped:
+    ``budget_exhausted``, ``line_search_stalled`` (no descent direction or
+    no accepted step), ``singular`` (the band did not factorise) or
+    ``roundoff_floor`` (at floating-point resolution).
     """
 
     converged: bool
@@ -127,6 +131,7 @@ class SolveReport:
     max_euler_residual: float
     trajectory: Trajectory
     objective_history: Tuple[float, ...]
+    termination: str
 
 
 class _Problem:
@@ -177,11 +182,6 @@ class _Problem:
         tgap = x.sum(axis=-1) - self.total_ref
         return 0.5 * (self.w * gap * gap).sum(axis=-1) + 0.5 * self.w_total * tgap * tgap
 
-    def stage_grads(self, x: np.ndarray) -> np.ndarray:
-        gap = x - self.xstar
-        tgap = x.sum(axis=-1, keepdims=True) - self.total_ref
-        return self.w * gap + self.w_total * tgap
-
     # -- objective and its derivatives in x_1..x_T ---------------------------
 
     def evaluate(self, d: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
@@ -196,7 +196,9 @@ class _Problem:
     def pull(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The part of the residuals in x_1..x_T that no marginal cost enters:
         the stage gradients, and the anchor's pull on date T."""
-        return self.stage_grads(x), 2.0 * self.wT * (x[-1] - self.anchor)
+        gap = x - self.xstar
+        tgap = x.sum(axis=-1, keepdims=True) - self.total_ref
+        return self.w * gap + self.w_total * tgap, 2.0 * self.wT * (x[-1] - self.anchor)
 
     def residuals(self, pull: Tuple[np.ndarray, np.ndarray], marg: np.ndarray) -> np.ndarray:
         """Current-value gradient in x_1..x_T (row t divided by beta^t), given
@@ -208,6 +210,14 @@ class _Problem:
         r[-1] += anchor
         np.copyto(r, 0.0, where=self.frozen)
         return r
+
+    def kkt(self, pull, marg: np.ndarray, slack: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Absolute residuals with the limits' multipliers z, and each limit's complementarity."""
+        return np.abs(self.residuals(pull, marg - z[0] + z[1])), slack * np.minimum(z, 1.0)
+
+    def log_barrier(self, mu: np.ndarray, slack: np.ndarray) -> float:
+        """Discounted sum of mu * log(slack) over dates and limits."""
+        return float(self.disc @ (mu * np.log(slack)).sum(axis=0).sum(axis=1))
 
     def band(self, curv: np.ndarray) -> np.ndarray:
         """Upper band (bandwidth 4) of the Hessian in x_1..x_T, given the
@@ -269,19 +279,14 @@ def _step_to_boundary(values: np.ndarray, steps: np.ndarray) -> float:
     return float(min(1.0, _STEP_TO_BOUNDARY * -ratio.max()))
 
 
-def _complementarity(slack: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """s * min(z, 1): the slack itself where the multiplier is large."""
-    return slack * np.minimum(z, 1.0)
-
-
 def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveReport:
     """Minimize the discounted transition objective for a scenario.
 
-    Deterministic for fixed inputs and configuration. Non-convergence
-    within the iteration budget is reported through the ``converged`` flag,
-    not raised. A horizon at which beta^(T/2) falls below the smallest
-    normal float raises ``ValidationError``: the Newton system is solved
-    scaled by beta^(t/2), which cannot represent those dates.
+    Deterministic for fixed inputs and configuration. Non-convergence is
+    reported through ``converged`` and ``termination``, not raised. A
+    horizon at which beta^(T/2) falls below the smallest normal float
+    raises ``ValidationError``: the Newton system is solved scaled by
+    beta^(t/2), which cannot represent those dates.
     """
     cfg = config if config is not None else SolverConfig()
     if scenario.beta ** (scenario.horizon / 2.0) < np.finfo(float).tiny:
@@ -290,6 +295,13 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
             "the smallest normal float; the late dates cannot be solved"
         )
     problem = _Problem(scenario, cfg)
+    return _certify(problem, *_newton(problem))
+
+
+def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str]:
+    """Damped Newton / interior-point loop from the first guess: the last
+    allocations x_1..x_T, the multipliers, the objective history and why it stopped."""
+    cfg = problem.config
     has, sign = problem.has, problem.sign
     n_limits = problem.T * int(np.sum(has))
     # The Newton system is solved scaled by beta^(t/2), so the gradient
@@ -305,19 +317,14 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
     s = np.where(has, sign * (d - problem.limits), 1.0)
     z = has * np.ones_like(s)
 
-    def log_barrier(mu: np.ndarray, slack: np.ndarray) -> float:
-        return float(problem.disc @ (mu * np.log(slack)).sum(axis=0).sum(axis=1))
-
     value, marg, curv = problem.evaluate(d)
     history: List[float] = [value]
-    iterations = 0
     for _ in range(cfg.max_iterations):
         pull = problem.pull(x)
-        dual = np.abs(problem.residuals(pull, marg - z[0] + z[1])).max()
-        comp = _complementarity(s, z)
+        dual, comp = problem.kkt(pull, marg, s, z)
         settled = comp.max() <= _COMP_TOL
-        if settled and dual <= min(_DUAL_TOL, cfg.gradient_tol):
-            break
+        if settled and dual.max() <= min(_DUAL_TOL, cfg.gradient_tol):
+            return x, z, history, "converged"
         avg = float(comp[0].sum() + comp[1].sum()) / n_limits if n_limits else 0.0
         mu = min(_CENTERING * avg, avg ** 1.5)
         mu_pair = has * np.maximum(mu, _COMP_FLOOR * np.maximum(z, 1.0))
@@ -332,10 +339,10 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
             band = problem.band(curv + z_over_s[0] + z_over_s[1])
             step = sla.solveh_banded(band, -grad.ravel()).reshape(x.shape)
         except np.linalg.LinAlgError:
-            break
+            return x, z, history, "singular"
         slope = float((grad * step).sum())
         if not slope < 0.0:
-            break
+            return x, z, history, "line_search_stalled"
         dx = step / root
         # The change step is the first difference of the allocation step;
         # differencing two iterates would lose it to cancellation.
@@ -346,56 +353,60 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
         # that keeps the slacks positive. Changes below the merit's roundoff
         # pass, so late dates, whose weight beta^t sits below it, still move.
         alpha = _step_to_boundary(s, ds)
-        merit = value - log_barrier(mu_pair, s)
+        merit = value - problem.log_barrier(mu_pair, s)
         resolution = 1e-15 * (1.0 + abs(merit))
         for _ in range(_MAX_BACKTRACKS):
             x_new = x + alpha * dx
             trial = problem.evaluate(_differences(x_new, problem.x0))
-            merit_new = trial[0] - log_barrier(mu_pair, s + alpha * ds)
+            merit_new = trial[0] - problem.log_barrier(mu_pair, s + alpha * ds)
             if merit_new <= merit + _ARMIJO_C1 * alpha * slope + resolution:
                 break
             alpha *= 0.5
         else:
-            break
+            return x, z, history, "line_search_stalled"
         x = x_new
         value, marg, curv = trial
         s = s + alpha * ds
         z = z + _step_to_boundary(z, dz) * dz
         history.append(value)
-        iterations += 1
         if settled and np.abs(dx).max() <= _ROUNDOFF * np.abs(x).max():
             # The step moved no allocation beyond roundoff, so stationarity
             # is as tight as floating point allows at this scale.
-            break
+            return x, z, history, "roundoff_floor"
+    return x, z, history, "budget_exhausted"
 
+
+def _certify(problem: _Problem, x: np.ndarray, z: np.ndarray, history: List[float], stopped: str) -> SolveReport:
+    """Certify the allocations as returned, at every date, and report them."""
     x_full = np.vstack([problem.x0, x])
     # Components pinned at zero can pick up roundoff slightly below zero.
     x_full = np.where(np.abs(x_full) < 1e-12, np.abs(x_full), x_full)
     trajectory = Trajectory(x_full)
-
-    # Certify the trajectory as returned, at every date.
-    x = trajectory.values[1:]
     d = trajectory.deltas()[1:]
     objective, marg, _ = problem.evaluate(d)
-    residuals = np.abs(problem.residuals(problem.pull(x), marg - z[0] + z[1]))
+    # Each limit's slack, negative where the limit is violated.
+    gap = problem.sign * (d - problem.limits)
+    slack = np.abs(np.where(problem.has, gap, 0.0))
+    residuals, comp = problem.kkt(problem.pull(trajectory.values[1:]), marg, slack, z)
     grad_norm = float(np.max(residuals))
     max_residual = float(np.max(residuals[:-1])) if problem.T >= 2 else 0.0
-    # Each limit's slack, negative where the limit is violated.
-    gap = sign * (d - problem.limits)
     violation = max(0.0, float(np.max(-gap)))
-    comp = float(np.max(_complementarity(np.abs(np.where(has, gap, 0.0)), z)))
 
+    cfg = problem.config
     converged = bool(
-        grad_norm <= cfg.gradient_tol and max_residual <= cfg.euler_tol and max(comp, violation) <= cfg.gradient_tol
+        grad_norm <= cfg.gradient_tol and max_residual <= cfg.euler_tol and max(comp.max(), violation) <= cfg.gradient_tol
     )
+    if stopped == "converged" and not converged:
+        stopped = "roundoff_floor"  # the loop's own test is as tight as it goes
     return SolveReport(
         converged=converged,
-        iterations=iterations,
+        iterations=len(history) - 1,
         objective=objective,
         gradient_norm=grad_norm,
         max_euler_residual=max_residual,
         trajectory=trajectory,
         objective_history=tuple(history),
+        termination="converged" if converged else stopped,
     )
 
 
@@ -417,18 +428,15 @@ def objective_value(trajectory: Trajectory, scenario: Scenario, config: Optional
 def euler_residuals(traj: Trajectory, scenario: Scenario) -> np.ndarray:
     """Interior-date stationarity residuals, one row per date t = 1..T-1.
 
-    r_{t,k} = dC/dx_k (x_t) + phi'_k(d_t) - beta * phi'_k(d_{t+1}).
-    At an interior optimum every entry vanishes; a perturbed or heuristic
-    path leaves visible residuals.
+    r_{t,k} = dC/dx_k (x_t) + phi'_k(d_t) - beta * phi'_k(d_{t+1}), the
+    certificate's residuals without change limits. They vanish at an
+    interior optimum; a perturbed or heuristic path leaves visible ones.
     """
     if traj.horizon < 2:
         raise ValidationError(f"residual check needs at least 3 trajectory rows, got {traj.horizon + 1}")
-    problem = _Problem(scenario, SolverConfig())
-    x = traj.values
-    d = traj.deltas()
-    marg = quad_cubic_marginal(d, problem.g_up, problem.g_dn, problem.eta)
-    interior = slice(1, traj.horizon)
-    return problem.stage_grads(x[interior]) + marg[interior] - scenario.beta * marg[2:]
+    problem = _Problem(replace(scenario, delta_bounds=None, horizon=traj.horizon), SolverConfig())
+    _, marg, _ = problem.evaluate(traj.deltas()[1:])
+    return problem.residuals(problem.pull(traj.values[1:]), marg)[:-1]
 
 
 def gradualism_metric(traj: Trajectory, x_star: ExpenditureVector) -> float:

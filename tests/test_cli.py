@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fistrans
-from fistrans import load_default_preset, serialize_scenario
+from fistrans import ExpenditureVector, load_default_preset, serialize_scenario
 from fistrans.cli import EXIT_INVALID, EXIT_NOT_CONVERGED, EXIT_OK, _build_parser, run_cli
 
 REPO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -144,7 +145,22 @@ def test_simulate_exhausted_budget_exits_two(capsys, short_scenario_file):
     assert run_cli(["simulate", str(short_scenario_file), "--max-iterations", "1"]) == EXIT_NOT_CONVERGED
     captured = capsys.readouterr()
     assert "converged: False" in captured.out
-    assert "did not converge" in captured.err
+    assert "did not converge: budget_exhausted after 1 iterations" in captured.err
+
+
+@pytest.mark.parametrize("command", ["simulate", "jshape"])
+def test_roundoff_floor_is_named_not_blamed_on_the_budget(capsys, tmp_path, command):
+    # Scaling every level by 1e4 lifts the terminal residual's roundoff floor
+    # above the gradient tolerance; the loop stops there long before its budget.
+    scen = load_default_preset().scenario()
+    target = ExpenditureVector.from_array(1e4 * scen.cost.target.as_array())
+    cost = dataclasses.replace(scen.cost, target=target, total_reference=1e4 * scen.cost.total_reference)
+    scaled = dataclasses.replace(scen, baseline=ExpenditureVector.from_array(1e4 * scen.baseline.as_array()), cost=cost)
+    path = tmp_path / "scaled.scn"
+    path.write_text(serialize_scenario(scaled), encoding="utf-8")
+    assert run_cli([command, str(path)]) == EXIT_NOT_CONVERGED
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"solver did not converge: roundoff_floor after \d+ iterations \(gradient_norm \S+\)\n", err)
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys):

@@ -22,6 +22,7 @@ from fistrans import (
     stage_cost_minimizer,
 )
 from fistrans import planner
+from fistrans.costs import stage_cost
 from fistrans.calibration import asymmetric_variant
 
 from helpers import BASELINE, TARGETS, reform_scenario, scalar_scenario
@@ -209,6 +210,8 @@ def test_euler_residuals_vanish_at_optimum():
         res = euler_residuals(report.trajectory, scen)
         assert res.shape == (scen.horizon - 1, 4)
         assert np.max(np.abs(res)) <= 1e-6, f"horizon {horizon}"
+        # Without limits the public residuals are the certificate's, bit for bit.
+        assert np.max(np.abs(res)) == report.max_euler_residual, f"horizon {horizon}"
         assert report.max_euler_residual <= 1e-6
         assert report.gradient_norm <= 1e-8
 
@@ -352,6 +355,16 @@ def test_delta_bounds_are_respected_and_certified():
     assert np.max(np.abs(euler_residuals(report.trajectory, scen))) > 1e-3
     assert report.max_euler_residual <= 1e-6
 
+    # A frozen category's free multiplier absorbs its certificate entries, but
+    # the public residuals stay plain: its change is zero, so they are its
+    # stage gradient, far from zero.
+    scen, report = solved["frozen"]
+    frozen = euler_residuals(report.trajectory, scen)[:, 0]
+    allocations = report.trajectory.values[1:-1]
+    gradients = [stage_cost(ExpenditureVector.from_array(x), scen.cost).gradient[0] for x in allocations]
+    assert np.array_equal(frozen, gradients)
+    assert np.min(np.abs(frozen)) > 1.0
+
 
 def test_asymmetric_rigidity_slows_reductions():
     preset = load_default_preset()
@@ -487,3 +500,37 @@ def test_one_banded_factorisation_per_step(monkeypatch, case):
     # whose line search fails would factorise once more than it counts.
     assert len(calls) <= report.iterations + 1
     assert len(report.objective_history) == report.iterations + 1
+
+
+@pytest.mark.parametrize(
+    "expected, bounds, cfg",
+    [
+        ("converged", None, SolverConfig()),
+        ("budget_exhausted", None, SolverConfig(max_iterations=1)),
+        ("budget_exhausted", ((-0.5, 0.5),) * 4, SolverConfig(max_iterations=1)),
+        # The terminal residual's roundoff floor, about 2 * w_T * ulp(x_T),
+        # sits above the gradient tolerance: the loop stops there, uncertified.
+        ("roundoff_floor", None, SolverConfig(terminal_weight=1e9)),
+        # The loop meets its own test, but the residual tolerance is set below it.
+        ("roundoff_floor", None, SolverConfig(euler_tol=1e-16)),
+    ],
+)
+def test_termination_says_why_the_solve_stopped(expected, bounds, cfg):
+    report = solve(dataclasses.replace(load_default_preset().scenario(), delta_bounds=bounds), cfg)
+    assert report.termination == expected
+    assert report.converged == (expected == "converged")
+
+
+def test_termination_reports_a_singular_band(monkeypatch):
+    def singular(band, rhs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(planner.sla, "solveh_banded", singular)
+    report = solve(load_default_preset().scenario())
+    assert (report.termination, report.converged, report.iterations) == ("singular", False, 0)
+
+
+def test_termination_reports_a_stalled_line_search(monkeypatch):
+    monkeypatch.setattr(planner.sla, "solveh_banded", lambda band, rhs: np.zeros_like(rhs))
+    report = solve(load_default_preset().scenario())
+    assert (report.termination, report.converged, report.iterations) == ("line_search_stalled", False, 0)
