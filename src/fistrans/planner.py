@@ -10,15 +10,21 @@ with x_0 fixed and the year-0 change set to zero. The quadratic terminal
 penalty anchors the final allocation at the long-run minimizer of C,
 bounding the bias from truncating the infinite sum. Decision variables are
 the allocations x_1..x_T. Each date couples only to its neighbours, through
-the change d_t = x_t - x_{t-1}, so the Hessian is block tridiagonal and a
-Newton step is one banded Cholesky solve (bandwidth 4), linear in T.
+the change d_t = x_t - x_{t-1}, so the Hessian is block tridiagonal and
+each Newton iteration factorises one band (Cholesky, bandwidth 4), linear
+in T.
 
 Every scenario runs the same damped Newton loop with an Armijo line
 search. Optional per-category change limits lo_k <= d_{t,k} <= hi_k enter
 as primal-dual interior-point terms: each finite limit carries a slack and
 a multiplier per date, and their barrier marginal and curvature add to the
-adjustment cost's, so the band keeps its shape. A category frozen at
-(0, 0) has no interior and is pinned to its baseline by identity rows.
+adjustment cost's, so the band keeps its shape. With limits, an iteration
+is Mehrotra's predictor-corrector: the affine-scaling predictor, the
+corrector and, where the corrector does not descend on the barrier merit,
+a plain centred step are all back-solves with that one factorisation.
+Without limits an iteration is one back-solve and no limit term is
+computed. A category frozen at (0, 0) has no interior and is pinned to its
+baseline by identity rows.
 
 Convergence is certified at every date by the current-value stationarity
 residuals, with multipliers for the change limits,
@@ -33,10 +39,11 @@ next year's marginal), together with complementarity z * slack ~ 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import lapack
 
 from .costs import quad_cubic
 from .types import (
@@ -67,11 +74,7 @@ _DUAL_TOL = 1e-10
 _COMP_TOL = 1e-10
 # Relative size of a Newton step that no longer moves the allocations.
 _ROUNDOFF = 1e-14
-# The barrier target is a tenth of the mean complementarity, or its 1.5th
-# power once that is smaller. Each limit's target is floored so that its
-# complementarity settles at half of _COMP_TOL instead of driving its slack
-# into roundoff, where z / s would swamp the rest of the band.
-_CENTERING = 0.1
+# Floor of each limit's barrier target (see _newton).
 _COMP_FLOOR = 0.5 * _COMP_TOL
 _STEP_TO_BOUNDARY = 0.995
 # The first guess keeps this far inside finite change limits.
@@ -135,9 +138,12 @@ class SolveReport:
 
 
 class _Problem:
-    """Arrays and callables for one scenario solve."""
+    """Arrays and callables for one scenario solve. The pieces only a solve
+    needs (the long-run anchor, the baseline's value, the band's buffers) are
+    built on first use, so a residual check does not pay for them."""
 
     def __init__(self, scenario: Scenario, config: SolverConfig):
+        self.scenario = scenario
         self.config = config
         self.x0 = scenario.baseline.as_array()
         self.T = scenario.horizon
@@ -150,8 +156,6 @@ class _Problem:
         self.g_up, self.g_dn = scenario.rigidity.gamma_pair()
         self.eta = scenario.rigidity.eta_array()
         self.wT = config.terminal_weight
-        self.anchor = stage_cost_minimizer(scenario)
-        self.value0 = float(self.stage_values(self.x0))
         self.tail_weight = (self.beta ** self.T) * self.wT
         # The change limits as a pair, lower then upper, each broadcasting
         # over dates: a limit's slack is sign * (d - limit).
@@ -161,19 +165,29 @@ class _Problem:
         self.sign = np.array([1.0, -1.0])[:, None, None]
         self.has = np.isfinite(self.limits) & ~self.frozen
         self.orient = self.sign * self.has
-        # The Hessian band's entries that no iterate changes; ``band`` fills
-        # in the rest. Row 0 couples (t-1, k) with (t, k); rows 1..3 hold the
-        # total penalty's coupling of categories within a date; row 4 the
-        # diagonal, to which each date's next curvature adds (date T's: the
-        # anchor's).
+
+    @cached_property
+    def anchor(self) -> np.ndarray:
+        return stage_cost_minimizer(self.scenario)
+
+    @cached_property
+    def value0(self) -> float:
+        return float(self.stage_values(self.x0))
+
+    @cached_property
+    def _band_buffers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The Hessian band's entries that no iterate changes; ``band`` fills
+        in the rest. Row 0 couples (t-1, k) with (t, k); rows 1..3 hold the
+        total penalty's coupling of categories within a date; row 4 the
+        diagonal, to which each date's next curvature adds (date T's: the
+        anchor's). Returns the band, row 0's factor, the diagonal's base and
+        the next-curvature buffer."""
         n = N_CATEGORIES
         free = ~self.frozen
-        self._band = np.zeros((n + 1, self.T, n))
+        ab = np.zeros((n + 1, self.T, n))
         for offset in range(1, n):
-            self._band[n - offset, :, offset:] = self.w_total * (free[:-offset] & free[offset:])
-        self._coupling = -np.sqrt(self.beta) * free
-        self._diag = self.w + self.w_total
-        self._next = np.full((self.T, n), 2.0 * self.wT)
+            ab[n - offset, :, offset:] = self.w_total * (free[:-offset] & free[offset:])
+        return ab, -np.sqrt(self.beta) * free, self.w + self.w_total, np.full((self.T, n), 2.0 * self.wT)
 
     # -- cost pieces over stacked arrays ------------------------------------
 
@@ -193,12 +207,15 @@ class _Problem:
         tail = x[-1] - self.anchor
         return value + self.tail_weight * float(tail @ tail), marg, curv
 
+    def stage_gradients(self, x: np.ndarray) -> np.ndarray:
+        gap = x - self.xstar
+        tgap = x.sum(axis=-1, keepdims=True) - self.total_ref
+        return self.w * gap + self.w_total * tgap
+
     def pull(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The part of the residuals in x_1..x_T that no marginal cost enters:
         the stage gradients, and the anchor's pull on date T."""
-        gap = x - self.xstar
-        tgap = x.sum(axis=-1, keepdims=True) - self.total_ref
-        return self.w * gap + self.w_total * tgap, 2.0 * self.wT * (x[-1] - self.anchor)
+        return self.stage_gradients(x), 2.0 * self.wT * (x[-1] - self.anchor)
 
     def residuals(self, pull: Tuple[np.ndarray, np.ndarray], marg: np.ndarray) -> np.ndarray:
         """Current-value gradient in x_1..x_T (row t divided by beta^t), given
@@ -225,11 +242,11 @@ class _Problem:
         are scaled by beta^(-t/2), which leaves every entry of order one.
         Filled in place: each call overwrites the previous call's band."""
         n = N_CATEGORIES
-        ab = self._band
-        np.multiply(curv[1:], self._coupling, out=ab[0, 1:])
-        np.multiply(curv[1:], self.beta, out=self._next[:-1])
-        diag = self._diag + curv
-        diag += self._next
+        ab, coupling, base, nxt = self._band_buffers
+        np.multiply(curv[1:], coupling, out=ab[0, 1:])
+        np.multiply(curv[1:], self.beta, out=nxt[:-1])
+        diag = base + curv
+        diag += nxt
         np.add(diag, _RIDGE * (1.0 + diag), out=ab[n])
         np.copyto(ab[n], 1.0, where=self.frozen)
         return ab.reshape(n + 1, self.T * n)
@@ -298,14 +315,32 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
     return _certify(problem, *_newton(problem))
 
 
+def _factorise(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Cholesky factorisation of a positive definite upper band (LAPACK
+    pbtrf, the routine pair ``solveh_banded`` runs with pbtrs). Returns the
+    back-solve with that factor, for a right-hand side of any shape holding
+    one entry per band column. A band that does not factorise raises
+    ``LinAlgError``; a non-finite band or right-hand side, ``ValueError``."""
+    factor, info = lapack.dpbtrf(np.asarray_chkfinite(band))
+    if info > 0:
+        raise np.linalg.LinAlgError(f"leading minor {info} of the band is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+
+    def back_solve(rhs: np.ndarray) -> np.ndarray:
+        return lapack.dpbtrs(factor, np.asarray_chkfinite(rhs).ravel())[0].reshape(rhs.shape)
+
+    return back_solve
+
+
 def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str]:
     """Damped Newton / interior-point loop from the first guess: the last
     allocations x_1..x_T, the multipliers, the objective history and why it stopped."""
     cfg = problem.config
-    has, sign = problem.has, problem.sign
+    has, sign, orient = problem.has, problem.sign, problem.orient
     n_limits = problem.T * int(np.sum(has))
-    # The Newton system is solved scaled by beta^(t/2), so the gradient
-    # below is the objective's scaled the same way.
+    # The Newton system is solved scaled by beta^(t/2), so the gradients
+    # below are the objective's scaled the same way.
     root = (problem.beta ** (np.arange(1, problem.T + 1) / 2.0))[:, None]
 
     x = _initial_allocations(problem)
@@ -313,7 +348,8 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
     # Slacks and multipliers are carried as iterates, stacked (lower, upper)
     # on the first axis; columns without a limit hold slack 1 and multiplier
     # 0, so they drop out of every formula. Recomputing a slack from d would
-    # round to zero near an active limit.
+    # round to zero near an active limit. Without any finite limit every
+    # limit term is an exact zero, and the loop skips them.
     s = np.where(has, sign * (d - problem.limits), 1.0)
     z = has * np.ones_like(s)
 
@@ -325,40 +361,77 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
         settled = comp.max() <= _COMP_TOL
         if settled and dual.max() <= min(_DUAL_TOL, cfg.gradient_tol):
             return x, z, history, "converged"
-        avg = float(comp[0].sum() + comp[1].sum()) / n_limits if n_limits else 0.0
-        mu = min(_CENTERING * avg, avg ** 1.5)
-        mu_pair = has * np.maximum(mu, _COMP_FLOOR * np.maximum(z, 1.0))
 
-        # Newton step on the barrier problem: the limits' primal-dual terms
-        # enter the marginal and curvature of each change.
-        inv = has / s
-        mu_over_s = mu_pair * inv
-        z_over_s = z * inv
-        grad = root * problem.residuals(pull, marg - mu_over_s[0] + mu_over_s[1])
+        # Every Newton step of this iterate shares one factorisation; the
+        # limits' primal-dual curvature z / s adds to each change's.
+        if n_limits:
+            inv = has / s
+            z_over_s = z * inv
+            curv = curv + z_over_s[0] + z_over_s[1]
         try:
-            band = problem.band(curv + z_over_s[0] + z_over_s[1])
-            step = sla.solveh_banded(band, -grad.ravel()).reshape(x.shape)
+            back_solve = _factorise(problem.band(curv))
         except np.linalg.LinAlgError:
             return x, z, history, "singular"
-        slope = float((grad * step).sum())
+        # The objective's own gradient: without limits it gives the Newton
+        # step, with them the affine-scaling predictor.
+        grad = root * problem.residuals(pull, marg)
+        if not n_limits:
+            step = back_solve(-grad)
+            slope = float((grad * step).sum())
+        else:
+            # Each limit's barrier target is floored so that its
+            # complementarity settles at half of _COMP_TOL instead of driving
+            # its slack into roundoff, where z / s would swamp the band.
+            floor = _COMP_FLOOR * np.maximum(z, 1.0)
+            if settled:
+                mu_pair = has * floor
+            else:
+                # Mehrotra's predictor-corrector. The affine-scaling predictor
+                # (barrier target 0) sets the centring sigma = (mu_aff / mu)^3;
+                # the corrector subtracts its second-order term ds * dz from
+                # each limit's floored target sigma * mu.
+                ds = orient * _differences(back_solve(-grad) / root, 0.0)
+                dz = -z - z_over_s * ds
+                s_aff = s + _step_to_boundary(s, ds) * ds
+                z_aff = z + _step_to_boundary(z, dz) * dz
+                mu = float(np.vdot(s, z)) / n_limits
+                sigma = (float(np.vdot(s_aff, z_aff)) / n_limits / mu) ** 3
+                mu_pair = has * np.maximum(sigma * mu, floor)
+            # The line search's merit is the barrier at the floored targets,
+            # and its gradient judges descent. The plain centred step is taken
+            # where the corrector does not descend, and once every
+            # complementarity has settled, when only the floors are left.
+            mu_over_s = mu_pair * inv
+            grad = root * problem.residuals(pull, marg - mu_over_s[0] + mu_over_s[1])
+            if not settled:
+                target_over_s = mu_over_s - ds * dz * inv
+                step = back_solve(-root * problem.residuals(pull, marg - target_over_s[0] + target_over_s[1]))
+                slope = float((grad * step).sum())
+            if settled or not slope < 0.0:
+                target_over_s = mu_over_s
+                step = back_solve(-grad)
+                slope = float((grad * step).sum())
         if not slope < 0.0:
             return x, z, history, "line_search_stalled"
         dx = step / root
-        # The change step is the first difference of the allocation step;
-        # differencing two iterates would lose it to cancellation.
-        ds = problem.orient * _differences(dx, 0.0)
-        dz = mu_over_s - z - z_over_s * ds
 
         # Armijo backtracking on the barrier merit from the largest step
         # that keeps the slacks positive. Changes below the merit's roundoff
         # pass, so late dates, whose weight beta^t sits below it, still move.
-        alpha = _step_to_boundary(s, ds)
-        merit = value - problem.log_barrier(mu_pair, s)
+        if n_limits:
+            # The change step is the first difference of the allocation step;
+            # differencing two iterates would lose it to cancellation.
+            ds = orient * _differences(dx, 0.0)
+            dz = target_over_s - z - z_over_s * ds
+            alpha = _step_to_boundary(s, ds)
+            merit = value - problem.log_barrier(mu_pair, s)
+        else:
+            alpha, merit = 1.0, value
         resolution = 1e-15 * (1.0 + abs(merit))
         for _ in range(_MAX_BACKTRACKS):
             x_new = x + alpha * dx
             trial = problem.evaluate(_differences(x_new, problem.x0))
-            merit_new = trial[0] - problem.log_barrier(mu_pair, s + alpha * ds)
+            merit_new = trial[0] - problem.log_barrier(mu_pair, s + alpha * ds) if n_limits else trial[0]
             if merit_new <= merit + _ARMIJO_C1 * alpha * slope + resolution:
                 break
             alpha *= 0.5
@@ -366,8 +439,9 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
             return x, z, history, "line_search_stalled"
         x = x_new
         value, marg, curv = trial
-        s = s + alpha * ds
-        z = z + _step_to_boundary(z, dz) * dz
+        if n_limits:
+            s = s + alpha * ds
+            z = z + _step_to_boundary(z, dz) * dz
         history.append(value)
         if settled and np.abs(dx).max() <= _ROUNDOFF * np.abs(x).max():
             # The step moved no allocation beyond roundoff, so stationarity
@@ -435,8 +509,9 @@ def euler_residuals(traj: Trajectory, scenario: Scenario) -> np.ndarray:
     if traj.horizon < 2:
         raise ValidationError(f"residual check needs at least 3 trajectory rows, got {traj.horizon + 1}")
     problem = _Problem(replace(scenario, delta_bounds=None, horizon=traj.horizon), SolverConfig())
-    _, marg, _ = problem.evaluate(traj.deltas()[1:])
-    return problem.residuals(problem.pull(traj.values[1:]), marg)[:-1]
+    marg = quad_cubic(traj.deltas()[1:], problem.g_up, problem.g_dn, problem.eta)[1]
+    # The anchor's pull enters only the date-T row, which is not returned.
+    return problem.residuals((problem.stage_gradients(traj.values[1:]), 0.0), marg)[:-1]
 
 
 def gradualism_metric(traj: Trajectory, x_star: ExpenditureVector) -> float:

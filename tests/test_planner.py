@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -25,7 +26,7 @@ from fistrans import planner
 from fistrans.costs import stage_cost
 from fistrans.calibration import asymmetric_variant
 
-from helpers import BASELINE, TARGETS, reform_scenario, scalar_scenario
+from helpers import BASELINE, TARGETS, random_scenario, reform_scenario, scalar_scenario
 
 NO_TERMINAL = SolverConfig(terminal_weight=0.0)
 
@@ -366,6 +367,47 @@ def test_delta_bounds_are_respected_and_certified():
     assert np.min(np.abs(frozen)) > 1.0
 
 
+def test_half_infinite_limits_certify_at_a_long_horizon():
+    # Once every complementarity has settled at its floor the loop takes the
+    # plain centred step; Mehrotra's corrector there alternates between two
+    # iterates on this case and exhausts the budget.
+    scen = dataclasses.replace(_preset(1000), delta_bounds=BOUND_SHAPES["half-infinite"])
+    report = solve(scen, SolverConfig(max_iterations=100))
+    assert report.converged
+    assert report.iterations <= 30
+
+
+def test_limits_that_never_bind_leave_the_unbounded_optimum():
+    # Limits at twice the largest unbounded change make the interior-point
+    # path solve a problem with the same optimum.
+    preset = load_default_preset().scenario()
+    rng = np.random.default_rng(5)
+    cases = [
+        dataclasses.replace(preset, horizon=50),
+        dataclasses.replace(preset, horizon=300),
+        dataclasses.replace(preset, horizon=50, rigidity=asymmetric_variant(preset.rigidity)),
+    ] + [reform_scenario(rng) for _ in range(5)]
+    for scen in cases:
+        free = solve(scen)
+        width = 2.0 * np.max(np.abs(free.trajectory.deltas()))
+        limited = solve(dataclasses.replace(scen, delta_bounds=((-width, width),) * 4))
+        assert limited.converged
+        assert np.max(np.abs(limited.trajectory.values - free.trajectory.values)) <= 1e-9
+        assert limited.objective == pytest.approx(free.objective, rel=1e-12)
+
+
+def test_random_bounded_scenarios_certify_in_few_steps():
+    # Mehrotra's predictor-corrector takes a median of 11 steps on these
+    # draws; centring at min(0.1 mu, mu^1.5) without a corrector takes 16.
+    rng = np.random.default_rng(2026)
+    iterations = []
+    for _ in range(60):
+        report = solve(random_scenario(rng, with_bounds=True))
+        assert report.converged
+        iterations.append(report.iterations)
+    assert np.median(iterations) <= 11
+
+
 def test_asymmetric_rigidity_slows_reductions():
     preset = load_default_preset()
     sym = Scenario("sym", preset.baseline, preset.cost, preset.rigidity, 0.96, 40)
@@ -470,8 +512,8 @@ def _preset(horizon, bound=None, asymmetric=False):
 # step's arithmetic that keeps the algorithm keeps the iterate sequence, and
 # with it these counts.
 PINNED_ITERATIONS = [
-    ((50, 0.5, False), 11),
-    ((300, 0.5, False), 12),
+    ((50, 0.5, False), 8),
+    ((300, 0.5, False), 8),
     ((1000, None, False), 5),
     ((50, None, True), 4),
 ]
@@ -486,20 +528,50 @@ def test_iteration_counts_are_pinned(case, iterations):
 
 @pytest.mark.parametrize("case", [(50, 0.5), (300, 0.5), (1000, None)])
 def test_one_banded_factorisation_per_step(monkeypatch, case):
-    calls = []
-    factorise = planner.sla.solveh_banded
+    factorisations, back_solves = [], []
+    factorise = planner._factorise
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return factorise(*args, **kwargs)
+    def counted(band):
+        factorisations.append(1)
+        back_solve = factorise(band)
 
-    monkeypatch.setattr(planner.sla, "solveh_banded", counted)
+        def counted_solve(rhs):
+            back_solves.append(1)
+            return back_solve(rhs)
+
+        return counted_solve
+
+    monkeypatch.setattr(planner, "_factorise", counted)
     report = solve(_preset(*case))
     assert report.converged
-    # The step that finds the iterate certified factorises nothing; a step
-    # whose line search fails would factorise once more than it counts.
-    assert len(calls) <= report.iterations + 1
+    # Every accepted step factorises once; the step that finds the iterate
+    # certified factorises nothing, and one whose line search fails would
+    # factorise once more than it counts.
+    assert report.iterations <= len(factorisations) <= report.iterations + 1
     assert len(report.objective_history) == report.iterations + 1
+    # Predictor, corrector and at most one centred fallback share the factor;
+    # without limits a step is one back-solve.
+    if case[1] is None:
+        assert len(back_solves) == len(factorisations)
+    else:
+        assert len(factorisations) < len(back_solves) <= 3 * len(factorisations)
+
+
+def test_factorisation_solves_like_solveh_banded():
+    # The same LAPACK routines as scipy's solveh_banded, so the same bits.
+    scen = _preset(50)
+    problem = planner._Problem(scen, SolverConfig())
+    _, _, curv = problem.evaluate(planner._differences(planner._initial_allocations(problem), problem.x0))
+    band = problem.band(curv)
+    rhs = np.random.default_rng(3).standard_normal(band.shape[1])
+    assert np.array_equal(planner._factorise(band)(rhs), sla.solveh_banded(band, rhs))
+    with pytest.raises(np.linalg.LinAlgError):
+        planner._factorise(-band)
+    with pytest.raises(ValueError):
+        planner._factorise(band)(np.full_like(rhs, np.inf))
+    band[-1, 0] = np.nan
+    with pytest.raises(ValueError):
+        planner._factorise(band)
 
 
 @pytest.mark.parametrize(
@@ -522,15 +594,15 @@ def test_termination_says_why_the_solve_stopped(expected, bounds, cfg):
 
 
 def test_termination_reports_a_singular_band(monkeypatch):
-    def singular(band, rhs):
-        raise np.linalg.LinAlgError("not positive definite")
-
-    monkeypatch.setattr(planner.sla, "solveh_banded", singular)
+    # A band that is not positive definite fails the real factorisation.
+    band = planner._Problem.band
+    monkeypatch.setattr(planner._Problem, "band", lambda problem, curv: -band(problem, curv))
     report = solve(load_default_preset().scenario())
     assert (report.termination, report.converged, report.iterations) == ("singular", False, 0)
 
 
 def test_termination_reports_a_stalled_line_search(monkeypatch):
-    monkeypatch.setattr(planner.sla, "solveh_banded", lambda band, rhs: np.zeros_like(rhs))
+    # Every back-solve returns a zero step, which is no descent direction.
+    monkeypatch.setattr(planner, "_factorise", lambda band: np.zeros_like)
     report = solve(load_default_preset().scenario())
     assert (report.termination, report.converged, report.iterations) == ("line_search_stalled", False, 0)
