@@ -218,10 +218,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ScenarioSyntaxError, ValidationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except FileNotFoundError as err:
+    except (ScenarioSyntaxError, ValidationError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
 

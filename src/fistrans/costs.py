@@ -5,12 +5,14 @@ The per-category adjustment cost is quadratic-cubic,
     phi_k(d) = gamma_k/2 * d^2 + eta_k/3 * |d|^3,
 
 so marginal costs rise sharply for large reallocations. gamma_k is
-gamma_up for increases and gamma_down for reductions; there is one kernel,
-and symmetric rigidity is the case gamma_up = gamma_down. The allocation
-cost is quadratic in deviations from a target composition plus an
-optional quadratic penalty on total spending. Both are convex and
-continuously differentiable, including at zero change: d|d| has
-derivative 2|d|, so the cubic term is smooth there with zero slope.
+gamma_up for increases and gamma_down for reductions, and symmetric
+rigidity is the case gamma_up = gamma_down. The allocation cost C is
+quadratic in deviations from a target composition plus an optional
+quadratic penalty on total spending, so its Hessian is constant. Both are
+convex and continuously differentiable, including at zero change: d|d|
+has derivative 2|d|, so the cubic term is smooth there with zero slope.
+Each cost has one kernel over stacked arrays, ``quad_cubic`` and
+``quad_allocation``; the other evaluators here and the planner call them.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ __all__ = [
     "stage_cost",
     "gradient_check",
     "quad_cubic",
+    "quad_allocation",
+    "quad_allocation_hessian",
 ]
 
 
@@ -67,6 +71,22 @@ def quad_cubic(d, gamma_up, gamma_down, eta):
     return value, marginal, curvature
 
 
+def quad_allocation(x, weights, target, total_weight, total_reference):
+    """Allocation cost over the last axis of x, value
+    1/2 * sum_k w_k (x_k - target_k)^2 + 1/2 * w_total * (sum_k x_k - total_reference)^2,
+    and its gradient w * (x - target) + w_total * (sum_k x_k - total_reference)."""
+    x = np.asarray(x, dtype=float)
+    gap = x - target
+    tgap = x.sum(axis=-1) - total_reference
+    value = 0.5 * (weights * gap * gap).sum(axis=-1) + 0.5 * total_weight * tgap * tgap
+    return value, weights * gap + total_weight * tgap[..., None]
+
+
+def quad_allocation_hessian(weights, total_weight) -> np.ndarray:
+    """The allocation cost's Hessian, the same at every point: diag(w) + w_total."""
+    return np.diag(weights) + total_weight
+
+
 def adjustment_cost(d: DeltaVector, p: RigidityParams) -> CostEval:
     """Adjustment cost of a change vector, with its gradient, in either rigidity mode."""
     dv = d.as_array()
@@ -95,18 +115,9 @@ def phi_asymmetric(d: DeltaVector, p: RigidityParams) -> CostEval:
 
 
 def stage_cost(x: ExpenditureVector, spec: FiscalCostSpec) -> CostEval:
-    """Per-period allocation cost and gradient.
-
-    value = 1/2 sum_k w_k (x_k - target_k)^2
-          + 1/2 w_total (total(x) - total_reference)^2
-    """
-    xv = x.as_array()
-    w = spec.weights_array()
-    gap = xv - spec.target.as_array()
-    total_gap = float(xv.sum()) - spec.total_reference
-    value = 0.5 * float(np.sum(w * gap * gap)) + 0.5 * spec.total_weight * total_gap * total_gap
-    grad = w * gap + spec.total_weight * total_gap
-    return CostEval(value, grad)
+    """Per-period allocation cost of one allocation, with its gradient (see ``quad_allocation``)."""
+    args = (spec.weights_array(), spec.target.as_array(), spec.total_weight, spec.total_reference)
+    return CostEval(*quad_allocation(x.as_array(), *args))
 
 
 def gradient_check(

@@ -12,7 +12,8 @@ bounding the bias from truncating the infinite sum. Decision variables are
 the allocations x_1..x_T. Each date couples only to its neighbours, through
 the change d_t = x_t - x_{t-1}, so the Hessian is block tridiagonal and
 each Newton iteration factorises one band (Cholesky, bandwidth 4), linear
-in T.
+in T. The formulas of C and Phi live in ``costs``: each trial point is
+differenced once and evaluated with both kernels, in the allocations.
 
 Every scenario runs the same damped Newton loop with an Armijo line
 search. Optional per-category change limits lo_k <= d_{t,k} <= hi_k enter
@@ -45,7 +46,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .costs import quad_cubic
+from .costs import quad_allocation, quad_allocation_hessian, quad_cubic, stage_cost
 from .types import (
     N_CATEGORIES,
     ExpenditureVector,
@@ -61,6 +62,7 @@ __all__ = [
     "euler_residuals",
     "gradualism_metric",
     "objective_value",
+    "stage_cost_minimizer",
 ]
 
 _GUESS_MODES = ("linear-ramp", "hold")
@@ -138,9 +140,10 @@ class SolveReport:
 
 
 class _Problem:
-    """Arrays and callables for one scenario solve. The pieces only a solve
-    needs (the long-run anchor, the baseline's value, the band's buffers) are
-    built on first use, so a residual check does not pay for them."""
+    """Arrays and callables for one scenario solve. C and Phi enter only through
+    their ``costs`` kernels; ``allocation`` and ``adjustment`` hold the arguments.
+    What only a solve needs (the long-run anchor, the baseline's value, the
+    band's buffers) is built on first use, so a residual check does not pay for it."""
 
     def __init__(self, scenario: Scenario, config: SolverConfig):
         self.scenario = scenario
@@ -149,12 +152,9 @@ class _Problem:
         self.T = scenario.horizon
         self.beta = scenario.beta
         self.disc = scenario.beta ** np.arange(1, self.T + 1)
-        self.w = scenario.cost.weights_array()
-        self.xstar = scenario.cost.target.as_array()
-        self.w_total = scenario.cost.total_weight
-        self.total_ref = scenario.cost.total_reference
-        self.g_up, self.g_dn = scenario.rigidity.gamma_pair()
-        self.eta = scenario.rigidity.eta_array()
+        cost = scenario.cost
+        self.allocation = (cost.weights_array(), cost.target.as_array(), cost.total_weight, cost.total_reference)
+        self.adjustment = (*scenario.rigidity.gamma_pair(), scenario.rigidity.eta_array())
         self.wT = config.terminal_weight
         self.tail_weight = (self.beta ** self.T) * self.wT
         # The change limits as a pair, lower then upper, each broadcasting
@@ -172,50 +172,33 @@ class _Problem:
 
     @cached_property
     def value0(self) -> float:
-        return float(self.stage_values(self.x0))
+        return float(quad_allocation(self.x0, *self.allocation)[0])
 
     @cached_property
     def _band_buffers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The Hessian band's entries that no iterate changes; ``band`` fills
-        in the rest. Row 0 couples (t-1, k) with (t, k); rows 1..3 hold the
-        total penalty's coupling of categories within a date; row 4 the
+        in the rest. Row 0 couples (t-1, k) with (t, k); rows 1..3 hold C's
+        Hessian's coupling of categories within a date; row 4 the
         diagonal, to which each date's next curvature adds (date T's: the
         anchor's). Returns the band, row 0's factor, the diagonal's base and
         the next-curvature buffer."""
         n = N_CATEGORIES
         free = ~self.frozen
+        hess = quad_allocation_hessian(self.scenario.cost.weights_array(), self.scenario.cost.total_weight)
         ab = np.zeros((n + 1, self.T, n))
         for offset in range(1, n):
-            ab[n - offset, :, offset:] = self.w_total * (free[:-offset] & free[offset:])
-        return ab, -np.sqrt(self.beta) * free, self.w + self.w_total, np.full((self.T, n), 2.0 * self.wT)
+            ab[n - offset, :, offset:] = np.diagonal(hess, offset) * (free[:-offset] & free[offset:])
+        return ab, -np.sqrt(self.beta) * free, np.diagonal(hess), np.full((self.T, n), 2.0 * self.wT)
 
-    # -- cost pieces over stacked arrays ------------------------------------
-
-    def stage_values(self, x: np.ndarray) -> np.ndarray:
-        gap = x - self.xstar
-        tgap = x.sum(axis=-1) - self.total_ref
-        return 0.5 * (self.w * gap * gap).sum(axis=-1) + 0.5 * self.w_total * tgap * tgap
-
-    # -- objective and its derivatives in x_1..x_T ---------------------------
-
-    def evaluate(self, d: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
-        """Objective at the changes d_1..d_T, with the marginal and curvature
-        adjustment cost of each change."""
-        phi, marg, curv = quad_cubic(d, self.g_up, self.g_dn, self.eta)
-        x = self.x0 + d.cumsum(axis=0)
-        value = self.value0 + float(self.disc @ (self.stage_values(x) + phi.sum(axis=-1)))
+    def evaluate(self, x: np.ndarray) -> Tuple[float, Tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+        """Objective at the allocations x_1..x_T; the pull, the residuals' part no
+        marginal cost enters (the stage gradients, and the anchor's pull on date
+        T); and the marginal and curvature adjustment cost of each change."""
+        phi, marg, curv = quad_cubic(_differences(x, self.x0), *self.adjustment)
+        stage, stage_grad = quad_allocation(x, *self.allocation)
+        value = self.value0 + float(self.disc @ (stage + phi.sum(axis=-1)))
         tail = x[-1] - self.anchor
-        return value + self.tail_weight * float(tail @ tail), marg, curv
-
-    def stage_gradients(self, x: np.ndarray) -> np.ndarray:
-        gap = x - self.xstar
-        tgap = x.sum(axis=-1, keepdims=True) - self.total_ref
-        return self.w * gap + self.w_total * tgap
-
-    def pull(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The part of the residuals in x_1..x_T that no marginal cost enters:
-        the stage gradients, and the anchor's pull on date T."""
-        return self.stage_gradients(x), 2.0 * self.wT * (x[-1] - self.anchor)
+        return value + self.tail_weight * float(tail @ tail), (stage_grad, 2.0 * self.wT * tail), marg, curv
 
     def residuals(self, pull: Tuple[np.ndarray, np.ndarray], marg: np.ndarray) -> np.ndarray:
         """Current-value gradient in x_1..x_T (row t divided by beta^t), given
@@ -255,19 +238,15 @@ class _Problem:
 def stage_cost_minimizer(scenario: Scenario) -> np.ndarray:
     """Long-run allocation implied by the cost spec (minimum of C).
 
-    Solves the stationarity system (diag(w) + w_total * ones) z =
-    -w_total * (target_total - total_reference) * ones for the deviation z
-    from the target; the minimum-norm solution handles degenerate weights.
-    Equals the plain target whenever the total penalty is inactive or the
-    reference matches the target's total.
+    C is quadratic, so the deviation z from the target solves H z =
+    -grad C(target) with H its Hessian; the minimum-norm solution handles
+    degenerate weights. Equals the plain target whenever the total penalty is
+    inactive or the reference matches the target's total.
     """
-    w = scenario.cost.weights_array()
-    w_total = scenario.cost.total_weight
-    xstar = scenario.cost.target.as_array()
-    rhs = -w_total * (xstar.sum() - scenario.cost.total_reference) * np.ones(N_CATEGORIES)
-    mat = np.diag(w) + w_total * np.ones((N_CATEGORIES, N_CATEGORIES))
-    z, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    return xstar + z
+    cost = scenario.cost
+    hess = quad_allocation_hessian(cost.weights_array(), cost.total_weight)
+    z, *_ = np.linalg.lstsq(hess, -stage_cost(cost.target, cost).gradient, rcond=None)
+    return cost.target.as_array() + z
 
 
 def _initial_allocations(problem: _Problem) -> np.ndarray:
@@ -344,19 +323,17 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
     root = (problem.beta ** (np.arange(1, problem.T + 1) / 2.0))[:, None]
 
     x = _initial_allocations(problem)
-    d = _differences(x, problem.x0)
     # Slacks and multipliers are carried as iterates, stacked (lower, upper)
     # on the first axis; columns without a limit hold slack 1 and multiplier
-    # 0, so they drop out of every formula. Recomputing a slack from d would
-    # round to zero near an active limit. Without any finite limit every
-    # limit term is an exact zero, and the loop skips them.
-    s = np.where(has, sign * (d - problem.limits), 1.0)
+    # 0, so they drop out of every formula. Recomputing a slack from the
+    # changes would round to zero near an active limit. Without any finite
+    # limit every limit term is an exact zero, and the loop skips them.
+    s = np.where(has, sign * (_differences(x, problem.x0) - problem.limits), 1.0)
     z = has * np.ones_like(s)
 
-    value, marg, curv = problem.evaluate(d)
+    value, pull, marg, curv = problem.evaluate(x)
     history: List[float] = [value]
     for _ in range(cfg.max_iterations):
-        pull = problem.pull(x)
         dual, comp = problem.kkt(pull, marg, s, z)
         settled = comp.max() <= _COMP_TOL
         if settled and dual.max() <= min(_DUAL_TOL, cfg.gradient_tol):
@@ -430,7 +407,7 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
         resolution = 1e-15 * (1.0 + abs(merit))
         for _ in range(_MAX_BACKTRACKS):
             x_new = x + alpha * dx
-            trial = problem.evaluate(_differences(x_new, problem.x0))
+            trial = problem.evaluate(x_new)
             merit_new = trial[0] - problem.log_barrier(mu_pair, s + alpha * ds) if n_limits else trial[0]
             if merit_new <= merit + _ARMIJO_C1 * alpha * slope + resolution:
                 break
@@ -438,7 +415,7 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
         else:
             return x, z, history, "line_search_stalled"
         x = x_new
-        value, marg, curv = trial
+        value, pull, marg, curv = trial
         if n_limits:
             s = s + alpha * ds
             z = z + _step_to_boundary(z, dz) * dz
@@ -452,16 +429,12 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
 
 def _certify(problem: _Problem, x: np.ndarray, z: np.ndarray, history: List[float], stopped: str) -> SolveReport:
     """Certify the allocations as returned, at every date, and report them."""
-    x_full = np.vstack([problem.x0, x])
-    # Components pinned at zero can pick up roundoff slightly below zero.
-    x_full = np.where(np.abs(x_full) < 1e-12, np.abs(x_full), x_full)
-    trajectory = Trajectory(x_full)
-    d = trajectory.deltas()[1:]
-    objective, marg, _ = problem.evaluate(d)
+    trajectory = Trajectory(np.vstack([problem.x0, x]))
+    objective, pull, marg, _ = problem.evaluate(trajectory.values[1:])
     # Each limit's slack, negative where the limit is violated.
-    gap = problem.sign * (d - problem.limits)
+    gap = problem.sign * (trajectory.deltas()[1:] - problem.limits)
     slack = np.abs(np.where(problem.has, gap, 0.0))
-    residuals, comp = problem.kkt(problem.pull(trajectory.values[1:]), marg, slack, z)
+    residuals, comp = problem.kkt(pull, marg, slack, z)
     grad_norm = float(np.max(residuals))
     max_residual = float(np.max(residuals[:-1])) if problem.T >= 2 else 0.0
     violation = max(0.0, float(np.max(-gap)))
@@ -488,7 +461,8 @@ def objective_value(trajectory: Trajectory, scenario: Scenario, config: Optional
     """Discounted objective of an arbitrary trajectory under a scenario.
 
     Uses the same terminal penalty as the solver, so values are directly
-    comparable with SolveReport.objective.
+    comparable with SolveReport.objective. The trajectory must start at the
+    scenario's baseline, which the objective holds fixed.
     """
     cfg = config if config is not None else SolverConfig()
     if trajectory.horizon != scenario.horizon:
@@ -496,7 +470,9 @@ def objective_value(trajectory: Trajectory, scenario: Scenario, config: Optional
             f"trajectory horizon {trajectory.horizon} does not match scenario horizon {scenario.horizon}"
         )
     problem = _Problem(scenario, cfg)
-    return problem.evaluate(trajectory.deltas()[1:])[0]
+    if not np.array_equal(trajectory.values[0], problem.x0):
+        raise ValidationError(f"trajectory does not start at the scenario's baseline {problem.x0.tolist()}")
+    return problem.evaluate(trajectory.values[1:])[0]
 
 
 def euler_residuals(traj: Trajectory, scenario: Scenario) -> np.ndarray:
@@ -508,10 +484,10 @@ def euler_residuals(traj: Trajectory, scenario: Scenario) -> np.ndarray:
     """
     if traj.horizon < 2:
         raise ValidationError(f"residual check needs at least 3 trajectory rows, got {traj.horizon + 1}")
-    problem = _Problem(replace(scenario, delta_bounds=None, horizon=traj.horizon), SolverConfig())
-    marg = quad_cubic(traj.deltas()[1:], problem.g_up, problem.g_dn, problem.eta)[1]
+    problem = _Problem(replace(scenario, baseline=traj.at(0), delta_bounds=None, horizon=traj.horizon), SolverConfig())
+    _, pull, marg, _ = problem.evaluate(traj.values[1:])
     # The anchor's pull enters only the date-T row, which is not returned.
-    return problem.residuals((problem.stage_gradients(traj.values[1:]), 0.0), marg)[:-1]
+    return problem.residuals(pull, marg)[:-1]
 
 
 def gradualism_metric(traj: Trajectory, x_star: ExpenditureVector) -> float:

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import importlib
 import os
 import re
 import subprocess
@@ -69,8 +71,9 @@ def test_validate_reports_syntax_position(tmp_path, capsys):
 
 
 def test_missing_file_is_reported(capsys):
-    assert run_cli(["validate", "/no/such/file.scn"]) == EXIT_INVALID
-    assert capsys.readouterr().err.startswith("error:")
+    for command in ("validate", "simulate"):
+        assert run_cli([command, "/no/such/file.scn"]) == EXIT_INVALID, command
+        assert capsys.readouterr().err.startswith("error:"), command
 
 
 def test_breakeven_high_rigidity_row(capsys):
@@ -236,3 +239,13 @@ def test_import_does_not_load_scipy_optimize():
     code = "import sys, fistrans; print('scipy.optimize' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
     assert result.stdout.strip() == "False"
+
+
+def test_every_export_is_listed_by_its_module():
+    # Each name the package re-exports is public in the module it comes from.
+    tree = ast.parse(Path(fistrans.__file__).read_text(encoding="utf-8"))
+    origin = {alias.name: node.module for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for name in fistrans.__all__:
+        if name != "__version__":
+            module = importlib.import_module(f"fistrans.{origin[name]}")
+            assert name in module.__all__, (name, module.__name__)

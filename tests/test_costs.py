@@ -12,6 +12,7 @@ from fistrans import (
     phi_asymmetric,
     stage_cost,
 )
+from fistrans.costs import quad_allocation, quad_allocation_hessian
 
 from helpers import TABLE_ETA, TABLE_GAMMA, TARGETS
 
@@ -137,6 +138,24 @@ def test_stage_cost_total_on_reference():
     )
     ev = stage_cost(ExpenditureVector(46, 21, 12, 21), spec)
     assert ev.value == 0.0
+
+
+def test_allocation_kernel_stacks_stage_cost_with_a_constant_hessian():
+    spec = FiscalCostSpec(target=TARGETS, weights=(1, 0.5, 2, 0.25), total_weight=0.3, total_reference=97.0)
+    args = (spec.weights_array(), spec.target.as_array(), spec.total_weight, spec.total_reference)
+    x = np.random.default_rng(29).uniform(0.0, 50.0, (30, 4))
+    values, grads = quad_allocation(x, *args)
+    for row, value, grad in zip(x, values, grads):
+        ev = stage_cost(ExpenditureVector.from_array(row), spec)
+        assert value == ev.value
+        assert np.array_equal(grad, ev.gradient)
+    hess = quad_allocation_hessian(spec.weights_array(), spec.total_weight)
+    h = 1e-3
+    for point in x[:5]:
+        bumps = h * np.eye(4)
+        fd = (quad_allocation(point + bumps, *args)[1] - quad_allocation(point - bumps, *args)[1]) / (2.0 * h)
+        # Row j of fd is the gradient's change along category j, column j of the Hessian.
+        assert np.allclose(fd.T, hess, rtol=0.0, atol=1e-8)
 
 
 def test_gradient_check_phi_at_mixed_point():

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fistrans import (
+    DeltaVector,
     ExpenditureVector,
     FiscalCostSpec,
     RigidityParams,
@@ -23,7 +24,7 @@ from fistrans import (
     stage_cost_minimizer,
 )
 from fistrans import planner
-from fistrans.costs import stage_cost
+from fistrans.costs import adjustment_cost, stage_cost
 from fistrans.calibration import asymmetric_variant
 
 from helpers import BASELINE, TARGETS, random_scenario, reform_scenario, scalar_scenario
@@ -271,6 +272,37 @@ def test_solution_beats_hold_and_jump_paths():
     assert report.objective <= objective_value(jump, scen, cfg) + 1e-9
     # The terminal allocation settles at the long-run cost minimizer.
     assert np.allclose(report.trajectory.values[-1], anchor, atol=1e-4)
+
+
+def _objective_date_by_date(traj, scen, cfg):
+    """The transition objective through the public per-date costs."""
+    deltas = traj.deltas()
+    total = 0.0
+    for t in range(traj.horizon + 1):
+        stage = stage_cost(ExpenditureVector.from_array(traj.values[t]), scen.cost).value
+        total += scen.beta**t * (stage + adjustment_cost(DeltaVector.from_array(deltas[t]), scen.rigidity).value)
+    tail = traj.values[-1] - stage_cost_minimizer(scen)
+    return total + scen.beta**scen.horizon * cfg.terminal_weight * float(tail @ tail)
+
+
+def test_objective_value_is_the_discounted_sum_of_the_public_costs():
+    cfg = SolverConfig()
+    paths = [(scen, solve(scen, cfg).trajectory) for scen in (_preset(50), _preset(50, bound=0.5))]
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        scen = random_scenario(rng)
+        x0 = scen.baseline.as_array()
+        paths.append((scen, Trajectory(np.vstack([x0, rng.uniform(0.0, 45.0, (scen.horizon, 4))]))))
+    for scen, traj in paths:
+        assert objective_value(traj, scen, cfg) == pytest.approx(_objective_date_by_date(traj, scen, cfg), rel=1e-12)
+
+
+def test_objective_value_rejects_a_trajectory_off_the_baseline():
+    # The objective holds x_0 at the baseline; a shifted path is not a plan from it.
+    scen = load_default_preset().scenario()
+    shifted = Trajectory(solve(scen).trajectory.values + 5.0)
+    with pytest.raises(ValidationError, match="baseline"):
+        objective_value(shifted, scen)
 
 
 def test_objective_history_never_increases():
@@ -561,7 +593,7 @@ def test_factorisation_solves_like_solveh_banded():
     # The same LAPACK routines as scipy's solveh_banded, so the same bits.
     scen = _preset(50)
     problem = planner._Problem(scen, SolverConfig())
-    _, _, curv = problem.evaluate(planner._differences(planner._initial_allocations(problem), problem.x0))
+    curv = problem.evaluate(planner._initial_allocations(problem))[-1]
     band = problem.band(curv)
     rhs = np.random.default_rng(3).standard_normal(band.shape[1])
     assert np.array_equal(planner._factorise(band)(rhs), sla.solveh_banded(band, rhs))
