@@ -12,8 +12,8 @@ Subcommands:
 * ``validate <scenario-file>``: parse and invariant-check only.
 
 Every subcommand accepts ``--preset NAME`` in place of a file. Exit codes:
-0 on success, 1 on validation or syntax errors, 2 on solver
-non-convergence. Diagnostics go to stderr.
+0 on success, 1 on invalid input (validation, syntax or usage errors,
+unreadable files), 2 on solver non-convergence. Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -45,10 +45,18 @@ EXIT_INVALID = 1
 EXIT_NOT_CONVERGED = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1 (invalid input), not argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fistrans",
         description="Simulate public-expenditure transitions under convex adjustment costs.",
     )
@@ -218,7 +226,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ScenarioSyntaxError, ValidationError, FileNotFoundError) as err:
+    except (ScenarioSyntaxError, ValidationError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -53,6 +53,7 @@ from .types import (
     Scenario,
     Trajectory,
     ValidationError,
+    _store,
 )
 
 __all__ = [
@@ -97,18 +98,9 @@ class SolverConfig:
     initial_guess: str = "linear-ramp"
 
     def __post_init__(self) -> None:
-        if int(self.max_iterations) < 1:
-            raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        object.__setattr__(self, "max_iterations", int(self.max_iterations))
-        for name in ("gradient_tol", "euler_tol"):
-            v = float(getattr(self, name))
-            if not (v > 0.0):
-                raise ValidationError(f"{name} must be positive, got {v}")
-            object.__setattr__(self, name, v)
-        w = float(self.terminal_weight)
-        if not np.isfinite(w) or w < 0.0:
-            raise ValidationError(f"terminal_weight must be nonnegative, got {w}")
-        object.__setattr__(self, "terminal_weight", w)
+        _store(self, "count", "max_iterations")
+        _store(self, "positive", "gradient_tol", "euler_tol")
+        _store(self, "nonnegative", "terminal_weight")
         if self.initial_guess not in _GUESS_MODES:
             raise ValidationError(f"initial_guess must be one of {_GUESS_MODES}, got {self.initial_guess!r}")
 

@@ -9,6 +9,7 @@ safe to share across threads and processes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Optional, Sequence, Tuple
@@ -63,32 +64,47 @@ N_CATEGORIES = len(CATEGORIES)
 _NEG_TOL = 1e-9
 
 
-def _float4(values: Sequence[float], what: str, nonneg: bool = False) -> Tuple[float, float, float, float]:
-    vals = tuple(float(v) for v in values)
+def _check(value, what: str, kind: str = "finite"):
+    """The one field check: ``value`` must be a finite number of one ``kind``,
+    "finite", "nonnegative", "positive", "fraction" (inside (0, 1)) or "count"
+    (an integer >= 1). Returns a float, or an int for a count (5.0 becomes 5)."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be a number, got {value!r}") from None
+    if kind == "count":
+        if not (v >= 1.0 and v.is_integer()):
+            raise ValidationError(f"{what} must be an integer >= 1, got {value}")
+        return int(v)
+    if kind == "fraction":
+        if not 0.0 < v < 1.0:
+            raise ValidationError(f"{what} out of range (0, 1): {v}")
+    elif not math.isfinite(v):
+        raise ValidationError(f"{what} must be finite, got {v}")
+    elif kind == "nonnegative" and v < 0.0:
+        raise ValidationError(f"{what} must be nonnegative, got {v}")
+    elif kind == "positive" and v <= 0.0:
+        raise ValidationError(f"{what} must be positive, got {v}")
+    return v
+
+
+def _store(obj, kind: str, *names: str) -> None:
+    """Check each named field of a frozen value object and store the result."""
+    for name in names:
+        object.__setattr__(obj, name, _check(getattr(obj, name), name, kind))
+
+
+def _float4(values: Sequence[float], what: str, kind: str = "finite") -> Tuple[float, float, float, float]:
+    vals = tuple(values)
     if len(vals) != N_CATEGORIES:
         raise ValidationError(f"{what} must have exactly {N_CATEGORIES} entries, got {len(vals)}")
-    for cat, v in zip(CATEGORIES, vals):
-        if not np.isfinite(v):
-            raise ValidationError(f"{what}[{cat.key}] must be finite, got {v}")
-        if nonneg and v < 0.0:
-            raise ValidationError(f"{what}[{cat.key}] must be nonnegative, got {v}")
-    return vals  # type: ignore[return-value]
-
-
-def _check_rigidity_mode(gamma, gamma_up, gamma_down) -> None:
-    """A rigidity block is symmetric (gamma) or asymmetric (gamma_up and gamma_down), never both."""
-    if (gamma_up is None) != (gamma_down is None):
-        raise ValidationError("asymmetric rigidity requires both gamma_up and gamma_down")
-    if (gamma is None) == (gamma_up is None):
-        raise ValidationError("rigidity must be either symmetric (gamma) or asymmetric (gamma_up/gamma_down)")
+    return tuple(_check(v, f"{what}[{cat.key}]", kind) for cat, v in zip(CATEGORIES, vals))  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
 class _Vector4:
-    """Four finite per-category floats in serialization order.
-
-    Subclasses set ``_what`` (the name in error messages) and ``_nonneg``.
-    """
+    """Four finite per-category floats in serialization order; subclasses set
+    ``_what`` (the name in error messages) and ``_kind`` (see ``_check``)."""
 
     transfers: float
     wages: float
@@ -96,11 +112,10 @@ class _Vector4:
     operating: float
 
     _what: ClassVar[str]
-    _nonneg: ClassVar[bool] = False
+    _kind: ClassVar[str] = "finite"
 
     def __post_init__(self) -> None:
-        vals = _float4(self.as_tuple(), self._what, nonneg=self._nonneg)
-        for cat, v in zip(CATEGORIES, vals):
+        for cat, v in zip(CATEGORIES, _float4(self.as_tuple(), self._what, self._kind)):
             object.__setattr__(self, cat.key, v)
 
     @classmethod
@@ -124,7 +139,7 @@ class ExpenditureVector(_Vector4):
     """A four-category expenditure allocation, componentwise nonnegative."""
 
     _what = "expenditure"
-    _nonneg = True
+    _kind = "nonnegative"
 
     @property
     def total(self) -> float:
@@ -147,8 +162,35 @@ def delta(x_curr: ExpenditureVector, x_prev: ExpenditureVector) -> DeltaVector:
     return DeltaVector.from_array(x_curr.as_array() - x_prev.as_array())
 
 
+class _Rigidity:
+    """The rigidity block of RigidityParams and BreakEvenSpec: ``gamma``, or both
+    ``gamma_up`` and ``gamma_down``, never both forms; every curvature, ``eta``
+    included, is nonnegative. Subclasses set ``_curvature``, the check of one
+    curvature (a 4-vector or a float), and ``_pair``, its type in ``gamma_pair``."""
+
+    def __post_init__(self) -> None:
+        if (self.gamma_up is None) != (self.gamma_down is None):
+            raise ValidationError("asymmetric rigidity requires both gamma_up and gamma_down")
+        if (self.gamma is None) == (self.gamma_up is None):
+            raise ValidationError("rigidity must be either symmetric (gamma) or asymmetric (gamma_up/gamma_down)")
+        for name in ("gamma", "eta", "gamma_up", "gamma_down"):
+            if name == "eta" or getattr(self, name) is not None:
+                object.__setattr__(self, name, self._curvature(getattr(self, name), name, "nonnegative"))
+
+    @property
+    def is_asymmetric(self) -> bool:
+        return self.gamma is None
+
+    def gamma_pair(self) -> tuple:
+        """Quadratic curvatures (for increases, for reductions); both are gamma when symmetric."""
+        if self.is_asymmetric:
+            return self._pair(self.gamma_up), self._pair(self.gamma_down)
+        gamma = self._pair(self.gamma)
+        return gamma, gamma
+
+
 @dataclass(frozen=True)
-class RigidityParams:
+class RigidityParams(_Rigidity):
     """Curvature parameters of the per-category adjustment-cost function.
 
     Symmetric mode supplies ``gamma`` (quadratic curvature) and ``eta``
@@ -162,23 +204,8 @@ class RigidityParams:
     gamma_up: Optional[Tuple[float, float, float, float]] = None
     gamma_down: Optional[Tuple[float, float, float, float]] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eta", _float4(self.eta, "eta", nonneg=True))
-        _check_rigidity_mode(self.gamma, self.gamma_up, self.gamma_down)
-        for name in ("gamma", "gamma_up", "gamma_down"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _float4(getattr(self, name), name, nonneg=True))
-
-    @property
-    def is_asymmetric(self) -> bool:
-        return self.gamma is None
-
-    def gamma_pair(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Quadratic curvatures (for increases, for reductions); both are gamma when symmetric."""
-        if self.is_asymmetric:
-            return np.array(self.gamma_up, dtype=float), np.array(self.gamma_down, dtype=float)
-        gamma = np.array(self.gamma, dtype=float)
-        return gamma, gamma
+    _curvature = staticmethod(_float4)
+    _pair = staticmethod(np.array)
 
     def eta_array(self) -> np.ndarray:
         return np.array(self.eta, dtype=float)
@@ -200,17 +227,12 @@ class FiscalCostSpec:
     total_reference: Optional[float] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _float4(self.weights, "weights", nonneg=True))
-        tw = float(self.total_weight)
-        if not np.isfinite(tw) or tw < 0.0:
-            raise ValidationError(f"total_weight must be finite and nonnegative, got {tw}")
-        object.__setattr__(self, "total_weight", tw)
-        if max(self.weights) == 0.0 and tw == 0.0:
+        object.__setattr__(self, "weights", _float4(self.weights, "weights", "nonnegative"))
+        _store(self, "nonnegative", "total_weight")
+        if max(self.weights) == 0.0 and self.total_weight == 0.0:
             raise ValidationError("cost spec needs at least one strictly positive weight")
-        ref = self.target.total if self.total_reference is None else float(self.total_reference)
-        if not np.isfinite(ref):
-            raise ValidationError(f"total_reference must be finite, got {ref}")
-        object.__setattr__(self, "total_reference", ref)
+        ref = self.target.total if self.total_reference is None else self.total_reference
+        object.__setattr__(self, "total_reference", _check(ref, "total_reference"))
 
     def weights_array(self) -> np.ndarray:
         return np.array(self.weights, dtype=float)
@@ -260,7 +282,7 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class BreakEvenSpec:
+class BreakEvenSpec(_Rigidity):
     """Inputs of the administrative-savings timing computation.
 
     ``adjustable_base`` is the year-0 level of the discretionary operating
@@ -281,50 +303,15 @@ class BreakEvenSpec:
     gamma_up: Optional[float] = None
     gamma_down: Optional[float] = None
 
+    _curvature = staticmethod(_check)
+    _pair = float
+
     def __post_init__(self) -> None:
-        rho = float(self.reduction_fraction)
-        if not (0.0 < rho < 1.0):
-            raise ValidationError(f"reduction fraction out of range (0, 1): {rho}")
-        object.__setattr__(self, "reduction_fraction", rho)
-        h = int(self.target_years)
-        if h < 1:
-            raise ValidationError(f"target_years must be >= 1, got {h}")
-        object.__setattr__(self, "target_years", h)
-        base = float(self.adjustable_base)
-        if not np.isfinite(base) or base <= 0.0:
-            raise ValidationError(f"adjustable_base must be positive, got {base}")
-        object.__setattr__(self, "adjustable_base", base)
-        floor = float(self.core_floor)
-        if not np.isfinite(floor) or floor < 0.0:
-            raise ValidationError(f"core_floor must be nonnegative, got {floor}")
-        object.__setattr__(self, "core_floor", floor)
-        win = int(self.window)
-        if win < 1:
-            raise ValidationError(f"window must be >= 1, got {win}")
-        object.__setattr__(self, "window", win)
-
-        eta = float(self.eta)
-        if not np.isfinite(eta) or eta < 0.0:
-            raise ValidationError(f"eta must be nonnegative, got {eta}")
-        object.__setattr__(self, "eta", eta)
-        _check_rigidity_mode(self.gamma, self.gamma_up, self.gamma_down)
-        for name in ("gamma", "gamma_up", "gamma_down"):
-            v = getattr(self, name)
-            if v is not None:
-                v = float(v)
-                if not np.isfinite(v) or v < 0.0:
-                    raise ValidationError(f"{name} must be nonnegative, got {v}")
-                object.__setattr__(self, name, v)
-
-    @property
-    def is_asymmetric(self) -> bool:
-        return self.gamma is None
-
-    def gamma_pair(self) -> Tuple[float, float]:
-        """Quadratic curvatures (for increases, for reductions); both are gamma when symmetric."""
-        if self.is_asymmetric:
-            return self.gamma_up, self.gamma_down
-        return self.gamma, self.gamma
+        _store(self, "fraction", "reduction_fraction")
+        _store(self, "count", "target_years", "window")
+        _store(self, "positive", "adjustable_base")
+        _store(self, "nonnegative", "core_floor")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -353,29 +340,22 @@ class Scenario:
             raise ValidationError(f"name must be a string, got {self.name!r}")
         if '"' in self.name or len(f"{self.name}.".splitlines()) > 1:
             raise ValidationError(f"name must not contain a double quote or a line break, got {self.name!r}")
-        beta = float(self.beta)
-        if not (0.0 < beta < 1.0):
-            raise ValidationError(f"discount factor out of range (0, 1): {beta}")
-        object.__setattr__(self, "beta", beta)
-        horizon = int(self.horizon)
-        if horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {horizon}")
-        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "beta", _check(self.beta, "discount factor", "fraction"))
+        _store(self, "count", "horizon")
         if self.delta_bounds is not None:
             if len(self.delta_bounds) != N_CATEGORIES:
                 raise ValidationError(f"delta_bounds needs {N_CATEGORIES} (min, max) pairs")
-            norm = []
-            for cat, (lo, hi) in zip(CATEGORIES, self.delta_bounds):
-                lo, hi = float(lo), float(hi)
-                if np.isnan(lo) or np.isnan(hi):
+            try:
+                norm = tuple((float(lo), float(hi)) for lo, hi in self.delta_bounds)
+            except (TypeError, ValueError):
+                raise ValidationError(f"delta_bounds must hold (min, max) pairs, got {self.delta_bounds!r}") from None
+            for cat, (lo, hi) in zip(CATEGORIES, norm):
+                if math.isnan(lo) or math.isnan(hi):
                     raise ValidationError(f"delta_bounds[{cat.key}] contains NaN")
                 if lo > 0.0 or hi < 0.0:
                     raise ValidationError(f"delta_bounds[{cat.key}] must admit zero change, got ({lo}, {hi})")
-                norm.append((lo, hi))
-            if all(lo == -np.inf and hi == np.inf for lo, hi in norm):
-                object.__setattr__(self, "delta_bounds", None)
-            else:
-                object.__setattr__(self, "delta_bounds", tuple(norm))
+            unbounded = all(lo == -np.inf and hi == np.inf for lo, hi in norm)
+            object.__setattr__(self, "delta_bounds", None if unbounded else norm)
 
     def bounds_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Lower/upper per-category change bounds (infinite when unbounded)."""

@@ -76,6 +76,39 @@ def test_missing_file_is_reported(capsys):
         assert capsys.readouterr().err.startswith("error:"), command
 
 
+def test_unreadable_files_are_reported(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.scn"
+    latin1.write_bytes(b'name = "caf\xe9"\n')
+    calls = (
+        ["simulate", str(tmp_path)],
+        ["validate", str(latin1)],
+        ["simulate", "--preset", "paper-default", "--out", str(tmp_path)],
+    )
+    for argv in calls:
+        assert run_cli(argv) == EXIT_INVALID, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--max-iterations", "abc"], ["simulate", "--max-iterations", "2.5"], ["frobnicate"], ["validate"], []],
+)
+def test_usage_errors_exit_invalid_not_as_non_convergence(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(argv)
+    assert exit_info.value.code == EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["simulate", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv)
+        assert exit_info.value.code == EXIT_OK
+        assert "usage:" in capsys.readouterr().out
+
+
 def test_breakeven_high_rigidity_row(capsys):
     path = REPO_SCENARIOS / "admin_savings_c.scn"
     assert run_cli(["breakeven", str(path)]) == EXIT_OK

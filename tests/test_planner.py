@@ -513,6 +513,15 @@ def test_solver_config_validation():
         SolverConfig(gradient_tol=0.0)
     with pytest.raises(ValidationError):
         SolverConfig(initial_guess="warm")
+    # A count is integral and finite; a weight or tolerance is finite.
+    for budget in (1.9, np.inf, np.nan, "many"):
+        with pytest.raises(ValidationError, match="max_iterations must be"):
+            SolverConfig(max_iterations=budget)
+    for weight in (-1.0, np.inf):
+        with pytest.raises(ValidationError, match="terminal_weight must be"):
+            SolverConfig(terminal_weight=weight)
+    with pytest.raises(ValidationError, match="euler_tol must be"):
+        SolverConfig(euler_tol=np.inf)
 
 
 def test_stage_cost_minimizer_closed_form():

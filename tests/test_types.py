@@ -12,6 +12,7 @@ from fistrans import (
     FiscalCostSpec,
     RigidityParams,
     Scenario,
+    SolverConfig,
     Trajectory,
     ValidationError,
     delta,
@@ -136,6 +137,14 @@ def test_breakeven_gamma_pair_in_both_modes():
 def test_rigidity_rejects_negative_curvature():
     with pytest.raises(ValidationError):
         RigidityParams(gamma=(-1, 0, 0, 0), eta=(0, 0, 0, 0))
+    for fields in (
+        dict(gamma=(1, 1, 1, 1), eta=(0, 0, -0.5, 0)),
+        dict(gamma_up=(1, 1, 1, 1), gamma_down=(1, 1, 1, -2)),
+        dict(gamma_up=(1, -1, 1, 1), gamma_down=(1, 1, 1, 1)),
+        dict(gamma=(1, 1, np.nan, 1)),
+    ):
+        with pytest.raises(ValidationError):
+            RigidityParams(**fields)
 
 
 def test_cost_spec_requires_positive_weight():
@@ -187,7 +196,7 @@ def test_scenario_normalizes_unbounded_bounds_to_none():
 
 
 def test_breakeven_spec_rejects_degenerate_fraction():
-    for rho in (0.0, 1.0, -0.2):
+    for rho in (0.0, 1.0, -0.2, np.nan, np.inf):
         with pytest.raises(ValidationError):
             BreakEvenSpec(reduction_fraction=rho, target_years=3, gamma=1.0)
 
@@ -221,3 +230,70 @@ def test_trajectory_clips_numerical_zeros():
     traj = Trajectory(np.array([[1.0, 1, 1, 1], [-1e-12, 1, 1, 1]]))
     assert traj.values[1, 0] == 0.0
     assert not traj.values.flags.writeable
+
+
+def _scenario(**changes):
+    fields = dict(
+        name="s",
+        baseline=BASELINE,
+        cost=FiscalCostSpec(target=TARGETS),
+        rigidity=RigidityParams(gamma=(1, 1, 1, 1)),
+        beta=0.9,
+        horizon=10,
+    )
+    return Scenario(**{**fields, **changes})
+
+
+def _breakeven(**changes):
+    return BreakEvenSpec(**{"reduction_fraction": 0.1, "target_years": 3, "gamma": 1.0, **changes})
+
+
+# One row per field check: (id, constructor call, message it raises).
+_FIELD_CHECKS = [
+    ("weights-length", lambda: FiscalCostSpec(target=TARGETS, weights=(1, 1, 1)), "weights must have exactly 4 entries"),
+    ("eta-length", lambda: RigidityParams(gamma=(1, 1, 1, 1), eta=(0, 0, 0, 0, 0)), "eta must have exactly 4 entries"),
+    ("weights-nan", lambda: FiscalCostSpec(target=TARGETS, weights=(1, np.nan, 1, 1)), r"weights\[wages\] must be finite"),
+    ("total_weight", lambda: FiscalCostSpec(target=TARGETS, total_weight=-1.0), "total_weight must be nonnegative"),
+    ("total_reference", lambda: FiscalCostSpec(target=TARGETS, total_reference=np.inf), "total_reference must be finite"),
+    ("trajectory-shape", lambda: Trajectory(np.zeros((3, 3))), "trajectory must have shape"),
+    ("trajectory-nan", lambda: Trajectory(np.array([[1.0, 1, 1, 1], [np.nan, 1, 1, 1]])), "non-finite"),
+    ("target_years", lambda: _breakeven(target_years=0), "target_years must be an integer >= 1"),
+    ("target_years-fractional", lambda: _breakeven(target_years=2.7), "target_years must be an integer >= 1, got 2.7"),
+    ("target_years-inf", lambda: _breakeven(target_years=np.inf), "target_years must be an integer"),
+    ("adjustable_base", lambda: _breakeven(adjustable_base=0.0), "adjustable_base must be positive"),
+    ("adjustable_base-inf", lambda: _breakeven(adjustable_base=np.inf), "adjustable_base must be finite"),
+    ("core_floor", lambda: _breakeven(core_floor=-1.0), "core_floor must be nonnegative"),
+    ("window", lambda: _breakeven(window=0), "window must be an integer >= 1"),
+    ("window-fractional", lambda: _breakeven(window=5.5), "window must be an integer >= 1, got 5.5"),
+    ("window-nan", lambda: _breakeven(window=np.nan), "window must be an integer"),
+    ("breakeven-eta", lambda: _breakeven(eta=-0.1), "eta must be nonnegative"),
+    ("breakeven-gamma", lambda: _breakeven(gamma=-1.0), "gamma must be nonnegative"),
+    ("breakeven-gamma_up", lambda: _breakeven(gamma=None, gamma_up=-1.0, gamma_down=1.0), "gamma_up must be nonnegative"),
+    ("breakeven-gamma_down", lambda: _breakeven(gamma=None, gamma_up=1.0, gamma_down=np.inf), "gamma_down must be finite"),
+    ("breakeven-both-forms", lambda: _breakeven(gamma_up=1.0, gamma_down=1.0), "either symmetric"),
+    ("breakeven-half-pair", lambda: _breakeven(gamma=None, gamma_up=1.0), "requires both gamma_up and gamma_down"),
+    ("horizon", lambda: _scenario(horizon=0), "horizon must be an integer >= 1"),
+    ("horizon-fractional", lambda: _scenario(horizon=2.5), "horizon must be an integer >= 1, got 2.5"),
+    ("horizon-inf", lambda: _scenario(horizon=np.inf), "horizon must be an integer"),
+    ("horizon-nan", lambda: _scenario(horizon=np.nan), "horizon must be an integer"),
+    ("horizon-text", lambda: _scenario(horizon="ten"), "horizon must be a number"),
+    ("beta-nan", lambda: _scenario(beta=np.nan), "discount factor out of range"),
+    ("delta_bounds-count", lambda: _scenario(delta_bounds=((-1, 1),) * 3), "delta_bounds needs 4"),
+    ("delta_bounds-nan", lambda: _scenario(delta_bounds=((-1, 1), (np.nan, 1), (-1, 1), (-1, 1))), "contains NaN"),
+    ("delta_bounds-triple", lambda: _scenario(delta_bounds=((-1, 0, 1),) * 4), r"\(min, max\) pairs"),
+    ("delta_bounds-scalar", lambda: _scenario(delta_bounds=(1.0, 1.0, 1.0, 1.0)), r"\(min, max\) pairs"),
+]
+
+
+@pytest.mark.parametrize("build, message", [pytest.param(b, m, id=name) for name, b, m in _FIELD_CHECKS])
+def test_every_field_check_rejects(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def test_integral_counts_are_stored_as_ints():
+    for five in (5, 5.0, np.int64(5), np.float64(5.0)):
+        spec = _breakeven(target_years=five, window=five)
+        config = SolverConfig(max_iterations=five)
+        stored = (spec.target_years, spec.window, _scenario(horizon=five).horizon, config.max_iterations)
+        assert all(type(v) is int and v == 5 for v in stored), five
