@@ -37,6 +37,7 @@ from .scenario_io import (
     emit_trajectory_csv,
     load_preset_scenario,
     parse_scenario_info,
+    read_scenario_file,
 )
 from .types import ExpenditureVector, Scenario, ValidationError
 
@@ -89,10 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args: argparse.Namespace) -> Tuple[Scenario, str, Tuple[str, ...]]:
     """Scenario plus provenance from a file path or preset name."""
-    path = getattr(args, "scenario_file", None)
-    if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
-        scenario, info = parse_scenario_info(text)
+    if args.scenario_file is not None:
+        scenario, info = parse_scenario_info(read_scenario_file(args.scenario_file))
         return scenario, info.preset, info.overrides
     preset = args.preset if args.preset is not None else DEFAULT_PRESET_NAME
     return load_preset_scenario(preset), preset, ()
@@ -207,9 +206,8 @@ def _cmd_jshape(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    text = Path(args.scenario_file).read_text(encoding="utf-8")
-    scenario, info = parse_scenario_info(text)
-    print(f"ok: scenario {scenario.name!r} (preset {info.preset}, {len(info.overrides)} overrides)")
+    scenario, preset, overrides = _load(args)
+    print(f"ok: scenario {scenario.name!r} (preset {preset}, {len(overrides)} overrides)")
     return EXIT_OK
 
 
@@ -226,7 +224,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ScenarioSyntaxError, ValidationError, OSError, UnicodeDecodeError) as err:
+    except (ScenarioSyntaxError, ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
 

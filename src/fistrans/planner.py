@@ -134,8 +134,7 @@ class SolveReport:
 class _Problem:
     """Arrays and callables for one scenario solve. C and Phi enter only through
     their ``costs`` kernels; ``allocation`` and ``adjustment`` hold the arguments.
-    What only a solve needs (the long-run anchor, the baseline's value, the
-    band's buffers) is built on first use, so a residual check does not pay for it."""
+    The band's buffers, which only a solve needs, are built on first use."""
 
     def __init__(self, scenario: Scenario, config: SolverConfig):
         self.scenario = scenario
@@ -147,6 +146,8 @@ class _Problem:
         cost = scenario.cost
         self.allocation = (cost.weights_array(), cost.target.as_array(), cost.total_weight, cost.total_reference)
         self.adjustment = (*scenario.rigidity.gamma_pair(), scenario.rigidity.eta_array())
+        self.anchor = stage_cost_minimizer(scenario)
+        self.value0 = float(quad_allocation(self.x0, *self.allocation)[0])
         self.wT = config.terminal_weight
         self.tail_weight = (self.beta ** self.T) * self.wT
         # The change limits as a pair, lower then upper, each broadcasting
@@ -157,14 +158,6 @@ class _Problem:
         self.sign = np.array([1.0, -1.0])[:, None, None]
         self.has = np.isfinite(self.limits) & ~self.frozen
         self.orient = self.sign * self.has
-
-    @cached_property
-    def anchor(self) -> np.ndarray:
-        return stage_cost_minimizer(self.scenario)
-
-    @cached_property
-    def value0(self) -> float:
-        return float(quad_allocation(self.x0, *self.allocation)[0])
 
     @cached_property
     def _band_buffers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

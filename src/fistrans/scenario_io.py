@@ -58,6 +58,7 @@ __all__ = [
     "parse_scenario",
     "parse_scenario_info",
     "load_preset_scenario",
+    "read_scenario_file",
     "serialize_scenario",
     "build_report",
     "emit_trajectory_csv",
@@ -223,6 +224,20 @@ def _apply_gamma_rule(section_name: str, found: _Entries, fields: Dict[str, obje
         fields["gamma"] = None
 
 
+def read_scenario_file(path: str | os.PathLike) -> str:
+    """The text of a scenario file. A byte that is not UTF-8 raises
+    ``ScenarioSyntaxError`` naming the file, line and column."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # Every byte before the bad one decodes; "?" stands in for it.
+        lines = (data[: err.start].decode("utf-8") + "?").splitlines()
+        error = ScenarioSyntaxError(f"byte 0x{data[err.start]:02x} is not valid UTF-8", len(lines), len(lines[-1]))
+        error.path, error.args = path, (f"{path}: {error}",)
+        raise error from None
+
+
 def _resolve_preset(name: str, depth: int = 0) -> Scenario:
     if name == DEFAULT_PRESET_NAME:
         return load_default_preset().scenario()
@@ -232,7 +247,13 @@ def _resolve_preset(name: str, depth: int = 0) -> Scenario:
         if candidate.is_file():
             if depth >= 5:
                 raise ValidationError(f"preset chain too deep while resolving {name!r}")
-            return _parse(candidate.read_text(encoding="utf-8"), depth + 1)[0]
+            try:
+                return _parse(read_scenario_file(candidate), depth + 1)[0]
+            except (ScenarioSyntaxError, ValidationError) as err:
+                # Name the file the error is in; one from a nested preset names its own.
+                if not hasattr(err, "path"):
+                    err.path, err.args = candidate, (f"{candidate}: {err}",)
+                raise
     raise ValidationError(f"unknown preset {name!r} (set {PRESET_DIR_ENV} for user presets)")
 
 
@@ -352,8 +373,6 @@ def serialize_scenario(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-
-
 # ---------------------------------------------------------------------------
 # Reports and CSV
 # ---------------------------------------------------------------------------
@@ -384,33 +403,21 @@ def build_report(
     return RunReport(scenario, report, g_eff, verdict, savings, provenance)
 
 
-def _fmt_cell(value: float) -> str:
-    text = f"{value:.6f}"
-    return "0.000000" if text == "-0.000000" else text
-
-
 def emit_trajectory_csv(report: RunReport) -> str:
     """Fixed-layout CSV of the run: one row per year, six decimal places.
 
     Savings columns stay empty when the scenario has no break-even block
-    and beyond the savings series' last year.
+    and beyond the savings series' last year. A value that rounds to zero
+    from below prints as ``0.000000``.
     """
-    traj = report.solve.trajectory
-    totals = traj.totals()
+    traj, savings = report.solve.trajectory, report.savings
     phi_series = adjustment_series(traj, report.scenario.rigidity)
-    lines = ["t,T,W,I,F,total,phi,G_eff,S_gross,S_net,cum_net"]
-    savings = report.savings
-    for t in range(traj.horizon + 1):
-        cells = [str(t)]
-        cells.extend(_fmt_cell(v) for v in traj.values[t])
-        cells.append(_fmt_cell(totals[t]))
-        cells.append(_fmt_cell(phi_series[t]))
-        cells.append(_fmt_cell(report.g_eff[t]))
-        if savings is not None and t < savings.net.size:
-            cells.append(_fmt_cell(savings.gross[t]))
-            cells.append(_fmt_cell(savings.net[t]))
-            cells.append(_fmt_cell(savings.cumulative[t]))
-        else:
-            cells.extend(["", "", ""])
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([traj.values, traj.totals(), phi_series, report.g_eff]).tolist()
+    if savings is not None:
+        for row, saved in zip(table, np.column_stack([savings.gross, savings.net, savings.cumulative]).tolist()):
+            row += saved
+    templates = {7: "%d" + ",%.6f" * 7 + ",,,", 10: "%d" + ",%.6f" * 10}
+    rows = [templates[len(row)] % (t, *row) for t, row in enumerate(table)]
+    # Every cell has six decimals and a '-' only starts a cell, so the
+    # pattern matches whole cells only.
+    return "\n".join(["t,T,W,I,F,total,phi,G_eff,S_gross,S_net,cum_net", *rows, ""]).replace("-0.000000", "0.000000")

@@ -95,9 +95,9 @@ def _store(obj, kind: str, *names: str) -> None:
 
 
 def _float4(values: Sequence[float], what: str, kind: str = "finite") -> Tuple[float, float, float, float]:
-    vals = tuple(values)
+    vals = tuple(values) if np.iterable(values) else ()
     if len(vals) != N_CATEGORIES:
-        raise ValidationError(f"{what} must have exactly {N_CATEGORIES} entries, got {len(vals)}")
+        raise ValidationError(f"{what} must have exactly {N_CATEGORIES} entries, got {values!r}")
     return tuple(_check(v, f"{what}[{cat.key}]", kind) for cat, v in zip(CATEGORIES, vals))  # type: ignore[return-value]
 
 
@@ -343,12 +343,12 @@ class Scenario:
         object.__setattr__(self, "beta", _check(self.beta, "discount factor", "fraction"))
         _store(self, "count", "horizon")
         if self.delta_bounds is not None:
-            if len(self.delta_bounds) != N_CATEGORIES:
-                raise ValidationError(f"delta_bounds needs {N_CATEGORIES} (min, max) pairs")
             try:
                 norm = tuple((float(lo), float(hi)) for lo, hi in self.delta_bounds)
             except (TypeError, ValueError):
                 raise ValidationError(f"delta_bounds must hold (min, max) pairs, got {self.delta_bounds!r}") from None
+            if len(norm) != N_CATEGORIES:
+                raise ValidationError(f"delta_bounds needs {N_CATEGORIES} (min, max) pairs")
             for cat, (lo, hi) in zip(CATEGORIES, norm):
                 if math.isnan(lo) or math.isnan(hi):
                     raise ValidationError(f"delta_bounds[{cat.key}] contains NaN")

@@ -216,6 +216,19 @@ def test_jshape_classify_needs_three_points():
         jshape_classify([1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: jshape_classify([1.0, np.inf, 0.5]), "series contains non-finite values"),
+        (lambda: savings_series([100.0], BreakEvenSpec(0.1, 3, window=1, gamma=1.0)), "length >= 2"),
+        (lambda: savings_series([100.0, np.nan, 90.0], BreakEvenSpec(0.1, 2, window=2, gamma=1.0)), "path contains non-finite"),
+    ],
+)
+def test_series_inputs_are_checked(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 def test_jshape_condition_examples():
     assert jshape_condition(5.0, 3.0, 0.0) is True
     assert jshape_condition(0.0, 3.0, 0.0) is False

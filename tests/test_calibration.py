@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,25 @@ def test_internal_composition_sums_to_hundred():
         assert sum(share for _, share in parts) == pytest.approx(100.0, abs=1e-9)
     pensions = dict(comp[Category.TRANSFERS])["pensions"]
     assert pensions == 72.0
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("baseline", "baseline shares must sum to 100"),
+        ("targets", "target shares must sum to 100"),
+        ("internal_composition", "internal composition of transfers must sum to 100"),
+    ],
+)
+def test_preset_shares_must_sum_to_hundred(field, message):
+    preset = load_default_preset()
+    bad = {
+        "baseline": dataclasses.replace(preset.baseline, transfers=preset.baseline.transfers + 1.0),
+        "targets": dataclasses.replace(preset.targets, wages=preset.targets.wages - 1.0),
+        "internal_composition": {**preset.internal_composition, Category.TRANSFERS: (("pensions", 72.0),)},
+    }
+    with pytest.raises(ValidationError, match=message):
+        dataclasses.replace(preset, **{field: bad[field]})
 
 
 def test_breakeven_catalog_rows():

@@ -89,6 +89,28 @@ def test_unreadable_files_are_reported(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:"), argv
 
 
+def test_an_undecodable_byte_is_reported_with_file_and_line(tmp_path, capsys):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(b'beta = 0.9\nname = "caf\xe9"\n')
+    assert run_cli(["validate", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {path}: line 2, column 12: byte 0xe9 is not valid UTF-8\n"
+
+
+def test_an_error_in_a_user_preset_names_the_preset_file(tmp_path, capsys, monkeypatch):
+    presets = tmp_path / "presets"
+    presets.mkdir()
+    monkeypatch.setenv("FISTRANS_PRESET_DIR", str(presets))
+    scenario = tmp_path / "run.scn"
+    scenario.write_text('preset = "mine"\n', encoding="utf-8")
+    for body, message in (
+        (b"beta = 0.9\nbogus = 1\n", "line 2, column 1: unknown key 'bogus' in the top section"),
+        (b'beta = 0.9\nname = "\xff"\n', "line 2, column 9: byte 0xff is not valid UTF-8"),
+    ):
+        (presets / "mine.scn").write_bytes(body)
+        assert run_cli(["validate", str(scenario)]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {presets / 'mine.scn'}: {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["simulate", "--max-iterations", "abc"], ["simulate", "--max-iterations", "2.5"], ["frobnicate"], ["validate"], []],
@@ -224,6 +246,11 @@ def test_jshape_reports_rise_then_fall(capsys):
     out = capsys.readouterr().out
     assert "outlay_exceeds_gain: True" in out
     assert re.search(r"j_shaped: True \(peak year [123],", out)
+
+
+def test_scenario_table_needs_the_built_in_catalog(capsys):
+    assert run_cli(["scenario-table", "--preset", "mine"]) == EXIT_INVALID
+    assert "requires the built-in catalog, got preset 'mine'" in capsys.readouterr().err
 
 
 def test_unknown_preset_exits_invalid(capsys):

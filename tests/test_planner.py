@@ -305,6 +305,13 @@ def test_objective_value_rejects_a_trajectory_off_the_baseline():
         objective_value(shifted, scen)
 
 
+def test_objective_value_rejects_a_trajectory_of_another_horizon():
+    scen = load_default_preset().scenario()
+    shorter = solve(dataclasses.replace(scen, horizon=scen.horizon - 1)).trajectory
+    with pytest.raises(ValidationError, match="does not match scenario horizon"):
+        objective_value(shorter, scen)
+
+
 def test_objective_history_never_increases():
     scen = load_default_preset().scenario()
     report = solve(scen)

@@ -82,6 +82,18 @@ def test_syntax_errors_carry_position():
         parse_scenario("beta = fast\n")
     with pytest.raises(ScenarioSyntaxError, match="integer"):
         parse_scenario("horizon = 10.5\n")
+    with pytest.raises(ScenarioSyntaxError, match="line 2, column 1: malformed section header"):
+        parse_scenario("beta = 0.9\n[weights\n")
+    with pytest.raises(ScenarioSyntaxError, match="column 3: empty section name"):
+        parse_scenario("  [rigidity.]\n")
+    with pytest.raises(ScenarioSyntaxError, match="missing key before '='"):
+        parse_scenario("= 0.9\n")
+    with pytest.raises(ScenarioSyntaxError, match="column 7: missing value for key 'beta'"):
+        parse_scenario("beta =\n")
+    with pytest.raises(ScenarioSyntaxError, match="beta must be a number"):
+        parse_scenario('beta = "0.9"\n')
+    with pytest.raises(ScenarioSyntaxError, match="name must be a quoted string"):
+        parse_scenario("name = 5\n")
 
 
 def test_unknown_preset_is_a_validation_error():
@@ -99,6 +111,19 @@ def test_preset_dir_resolution(tmp_path, monkeypatch):
     via_file = parse_scenario('preset = "austerity"\nhorizon = 12\n')
     assert via_file.beta == 0.9
     assert via_file.horizon == 12
+
+
+def test_an_error_in_a_preset_names_the_innermost_preset_file(tmp_path, monkeypatch):
+    monkeypatch.setenv("FISTRANS_PRESET_DIR", str(tmp_path))
+    (tmp_path / "outer.scn").write_text('preset = "inner"\n', encoding="utf-8")
+    (tmp_path / "inner.scn").write_text("beta = 0.9\nhorizon = 4.5\n", encoding="utf-8")
+    with pytest.raises(ScenarioSyntaxError) as info:
+        parse_scenario('preset = "outer"\n')
+    assert str(info.value) == f"{tmp_path / 'inner.scn'}: line 2, column 1: horizon must be an integer"
+    (tmp_path / "loop.scn").write_text('preset = "loop"\n', encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        parse_scenario('preset = "loop"\n')
+    assert str(info.value) == f"{tmp_path / 'loop.scn'}: preset chain too deep while resolving 'loop'"
 
 
 def test_partial_rigidity_override_keeps_other_categories():
@@ -322,6 +347,13 @@ def test_csv_constant_trajectory_has_zero_outlay_cells():
     report = build_report(scen)
     for line in emit_trajectory_csv(report).splitlines()[1:]:
         assert line.split(",")[6] == "0.000000"
+
+
+def test_csv_prints_a_value_that_rounds_to_zero_from_below_as_zero():
+    report = build_report(parse_scenario("horizon = 3\n"))
+    report = dataclasses.replace(report, g_eff=np.array([-4e-7, -1e-12, -0.0, -6e-7]))
+    cells = [line.split(",")[7] for line in emit_trajectory_csv(report).splitlines()[1:]]
+    assert cells == ["0.000000", "0.000000", "0.000000", "-0.000001"]
 
 
 def test_csv_savings_row_five_matches_pipeline_at_six_decimals():

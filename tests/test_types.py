@@ -282,6 +282,10 @@ _FIELD_CHECKS = [
     ("delta_bounds-nan", lambda: _scenario(delta_bounds=((-1, 1), (np.nan, 1), (-1, 1), (-1, 1))), "contains NaN"),
     ("delta_bounds-triple", lambda: _scenario(delta_bounds=((-1, 0, 1),) * 4), r"\(min, max\) pairs"),
     ("delta_bounds-scalar", lambda: _scenario(delta_bounds=(1.0, 1.0, 1.0, 1.0)), r"\(min, max\) pairs"),
+    ("delta_bounds-number", lambda: _scenario(delta_bounds=0.5), r"\(min, max\) pairs"),
+    ("eta-none", lambda: RigidityParams(gamma=(1, 1, 1, 1), eta=None), "eta must have exactly 4 entries, got None"),
+    ("weights-none", lambda: FiscalCostSpec(target=TARGETS, weights=None), "weights must have exactly 4 entries, got None"),
+    ("gamma-number", lambda: RigidityParams(gamma=5.0), "gamma must have exactly 4 entries, got 5.0"),
 ]
 
 
