@@ -25,7 +25,8 @@ corrector and, where the corrector does not descend on the barrier merit,
 a plain centred step are all back-solves with that one factorisation.
 Without limits an iteration is one back-solve and no limit term is
 computed. A category frozen at (0, 0) has no interior and is pinned to its
-baseline by identity rows.
+baseline by identity rows. LAPACK comes from scipy, loaded at the first
+solve through ``_lapack``, so code that never solves does not import scipy.
 
 Convergence is certified at every date by the current-value stationarity
 residuals, with multipliers for the change limits,
@@ -40,11 +41,10 @@ next year's marginal), together with complementarity z * slack ~ 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .costs import quad_allocation, quad_allocation_hessian, quad_cubic, stage_cost
 from .types import (
@@ -279,20 +279,29 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
     return _certify(problem, *_newton(problem))
 
 
+@cache
+def _lapack():
+    """The LAPACK pair ``(dpbtrf, dpbtrs)``, imported from scipy at the first solve."""
+    from scipy.linalg import lapack
+
+    return lapack.dpbtrf, lapack.dpbtrs
+
+
 def _factorise(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Cholesky factorisation of a positive definite upper band (LAPACK
     pbtrf, the routine pair ``solveh_banded`` runs with pbtrs). Returns the
     back-solve with that factor, for a right-hand side of any shape holding
     one entry per band column. A band that does not factorise raises
     ``LinAlgError``; a non-finite band or right-hand side, ``ValueError``."""
-    factor, info = lapack.dpbtrf(np.asarray_chkfinite(band))
+    dpbtrf, dpbtrs = _lapack()
+    factor, info = dpbtrf(np.asarray_chkfinite(band))
     if info > 0:
         raise np.linalg.LinAlgError(f"leading minor {info} of the band is not positive definite")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpbtrf")
 
     def back_solve(rhs: np.ndarray) -> np.ndarray:
-        return lapack.dpbtrs(factor, np.asarray_chkfinite(rhs).ravel())[0].reshape(rhs.shape)
+        return dpbtrs(factor, np.asarray_chkfinite(rhs).ravel())[0].reshape(rhs.shape)
 
     return back_solve
 

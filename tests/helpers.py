@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from fistrans import (
@@ -10,12 +12,23 @@ from fistrans import (
     FiscalCostSpec,
     RigidityParams,
     Scenario,
+    load_default_preset,
 )
+from fistrans.calibration import asymmetric_variant
 
 TABLE_GAMMA = (4.0, 3.5, 1.5, 1.0)
 TABLE_ETA = (1.8, 1.5, 0.6, 0.4)
 BASELINE = ExpenditureVector(46.0, 21.0, 12.0, 21.0)
 TARGETS = ExpenditureVector(40.0, 18.0, 18.0, 24.0)
+
+
+def preset_scenario(horizon: int, bound: float | None = None, asymmetric: bool = False) -> Scenario:
+    """The shipped preset at ``horizon``; with change limits of +-``bound`` in
+    every category when given, and the asymmetric variant's rigidity when asked."""
+    scen = load_default_preset().scenario()
+    rigidity = asymmetric_variant(scen.rigidity) if asymmetric else scen.rigidity
+    bounds = None if bound is None else ((-bound, bound),) * 4
+    return dataclasses.replace(scen, horizon=horizon, delta_bounds=bounds, rigidity=rigidity)
 
 
 def scalar_scenario(gamma: float, eta: float, horizon: int = 1, beta: float = 0.9) -> Scenario:

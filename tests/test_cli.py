@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -291,13 +292,39 @@ def test_simulate_rejects_horizon_past_the_float_range(tmp_path, capsys):
     assert "beta = 0.5" in capsys.readouterr().err
 
 
-def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize costs about 0.4 s of every cold start; no module needs it.
+def test_only_a_solve_loads_scipy():
+    # scipy.linalg is about 60% of a cold start; only a solve needs it, so
+    # importing, validating, break-even timing and the scenario table load no scipy.
     src = str(Path(fistrans.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, fistrans; print('scipy.optimize' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert result.stdout.strip() == "False"
+    code = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import fistrans
+        from fistrans.cli import run_cli
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                return run_cli(list(argv))
+
+        scenarios = sys.argv[1]
+        codes = [
+            run("validate", f"{scenarios}/admin_savings_a.scn"),
+            run("breakeven", f"{scenarios}/admin_savings_c.scn"),
+            run("scenario-table"),
+        ]
+        before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+        codes.append(run("simulate", "--preset", "paper-default"))
+        print((codes, before, "scipy.linalg" in sys.modules, "scipy.optimize" in sys.modules))
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(REPO_SCENARIOS)], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    codes, before, linalg, optimize = ast.literal_eval(result.stdout.strip())
+    assert codes == [EXIT_OK] * 4
+    assert before == []
+    assert linalg and not optimize
 
 
 def test_every_export_is_listed_by_its_module():

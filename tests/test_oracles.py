@@ -1,0 +1,83 @@
+"""Metamorphic oracles: relations between solves that hold exactly in
+exact arithmetic, so they check the solver without a reference solution."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from fistrans import ExpenditureVector, SolverConfig, planner, solve
+
+from helpers import preset_scenario, random_scenario
+
+PERMUTATION = (2, 0, 3, 1)
+MIXED_LIMITS = ((-0.5, 0.5), (-0.2, 0.8), (-1.0, 0.3), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("horizon", [50, 1000])
+@pytest.mark.parametrize("bound", [None, 0.5])
+def test_principle_of_optimality(horizon, bound):
+    # The terminal penalty is weighted by beta^T, so the problem from date k
+    # on is the tail problem up to the factor beta^k: re-solving from x_k over
+    # the remaining T - k years reproduces the tail of the trajectory.
+    scen = preset_scenario(horizon, bound)
+    report = solve(scen)
+    assert report.converged
+    values = report.trajectory.values
+    for k in (1, horizon // 3, horizon - 2):
+        tail = solve(dataclasses.replace(scen, baseline=ExpenditureVector(*values[k]), horizon=horizon - k))
+        assert tail.converged, k
+        assert np.abs(tail.trajectory.values - values[k:]).max() <= 1e-10, k
+
+
+def _permute(scen):
+    def perm(seq):
+        return tuple(seq[p] for p in PERMUTATION)
+
+    rig = scen.rigidity
+    rigidity = dataclasses.replace(
+        rig, **{f: perm(getattr(rig, f)) for f in ("gamma", "eta", "gamma_up", "gamma_down") if getattr(rig, f) is not None}
+    )
+    cost = dataclasses.replace(scen.cost, target=ExpenditureVector(*perm(scen.cost.target.as_tuple())), weights=perm(scen.cost.weights))
+    bounds = None if scen.delta_bounds is None else perm(scen.delta_bounds)
+    baseline = ExpenditureVector(*perm(scen.baseline.as_tuple()))
+    return dataclasses.replace(scen, baseline=baseline, cost=cost, rigidity=rigidity, delta_bounds=bounds)
+
+
+@pytest.mark.parametrize(
+    "scen",
+    [
+        preset_scenario(50),
+        preset_scenario(50, 0.5),
+        dataclasses.replace(preset_scenario(1000), delta_bounds=MIXED_LIMITS),
+        dataclasses.replace(preset_scenario(300, asymmetric=True), delta_bounds=MIXED_LIMITS),
+        *(random_scenario(np.random.default_rng(seed), with_bounds=True) for seed in range(3)),
+    ],
+    ids=["preset", "preset-0.5", "preset-mixed-T1000", "asymmetric-mixed", "random-0", "random-1", "random-2"],
+)
+def test_category_permutation(scen):
+    # Relabelling the categories relabels the solution and nothing else.
+    report, permuted = solve(scen), solve(_permute(scen))
+    assert report.converged and permuted.converged
+    assert permuted.iterations == report.iterations
+    assert np.abs(permuted.trajectory.values - report.trajectory.values[:, list(PERMUTATION)]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("horizon", [50, 300])
+def test_limit_multipliers_price_the_limits(horizon):
+    # Envelope theorem: relaxing a limit by eps lowers the optimum by eps times
+    # its present-value multiplier, sum_t beta^t z_{t,k}, up to O(eps^2).
+    eps = 1e-5
+    scen = preset_scenario(horizon, 0.5)
+    problem = planner._Problem(scen, SolverConfig())
+    z = planner._newton(problem)[1]
+    price = np.einsum("t,stk->sk", problem.disc, z)
+    objective = solve(scen).objective
+    active = np.argwhere(price > 1e-8)
+    assert len(active) == 3  # transfers' and wages' lower limits, investment's upper
+    for side, k in active:
+        bounds = [list(pair) for pair in scen.delta_bounds]
+        bounds[k][side] += eps if side else -eps
+        relaxed = solve(dataclasses.replace(scen, delta_bounds=tuple(map(tuple, bounds))))
+        assert relaxed.converged
+        assert (objective - relaxed.objective) / eps == pytest.approx(price[side, k], rel=1e-3), (side, k)

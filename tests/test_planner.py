@@ -27,7 +27,7 @@ from fistrans import planner
 from fistrans.costs import adjustment_cost, stage_cost
 from fistrans.calibration import asymmetric_variant
 
-from helpers import BASELINE, TARGETS, random_scenario, reform_scenario, scalar_scenario
+from helpers import BASELINE, TARGETS, preset_scenario, random_scenario, reform_scenario, scalar_scenario
 
 NO_TERMINAL = SolverConfig(terminal_weight=0.0)
 
@@ -287,7 +287,7 @@ def _objective_date_by_date(traj, scen, cfg):
 
 def test_objective_value_is_the_discounted_sum_of_the_public_costs():
     cfg = SolverConfig()
-    paths = [(scen, solve(scen, cfg).trajectory) for scen in (_preset(50), _preset(50, bound=0.5))]
+    paths = [(scen, solve(scen, cfg).trajectory) for scen in (preset_scenario(50), preset_scenario(50, bound=0.5))]
     rng = np.random.default_rng(61)
     for _ in range(20):
         scen = random_scenario(rng)
@@ -410,7 +410,7 @@ def test_half_infinite_limits_certify_at_a_long_horizon():
     # Once every complementarity has settled at its floor the loop takes the
     # plain centred step; Mehrotra's corrector there alternates between two
     # iterates on this case and exhausts the budget.
-    scen = dataclasses.replace(_preset(1000), delta_bounds=BOUND_SHAPES["half-infinite"])
+    scen = dataclasses.replace(preset_scenario(1000), delta_bounds=BOUND_SHAPES["half-infinite"])
     report = solve(scen, SolverConfig(max_iterations=100))
     assert report.converged
     assert report.iterations <= 30
@@ -549,13 +549,6 @@ def test_horizon_past_the_float_range_of_the_discount_is_rejected():
         solve(dataclasses.replace(preset, beta=0.5, horizon=2200))
 
 
-def _preset(horizon, bound=None, asymmetric=False):
-    scen = load_default_preset().scenario()
-    rigidity = asymmetric_variant(scen.rigidity) if asymmetric else scen.rigidity
-    bounds = None if bound is None else ((-bound, bound),) * 4
-    return dataclasses.replace(scen, horizon=horizon, delta_bounds=bounds, rigidity=rigidity)
-
-
 # Iteration counts of the Newton loop on shipped cases. A rewrite of the
 # step's arithmetic that keeps the algorithm keeps the iterate sequence, and
 # with it these counts.
@@ -569,7 +562,7 @@ PINNED_ITERATIONS = [
 
 @pytest.mark.parametrize("case, iterations", PINNED_ITERATIONS)
 def test_iteration_counts_are_pinned(case, iterations):
-    report = solve(_preset(*case))
+    report = solve(preset_scenario(*case))
     assert report.converged
     assert report.iterations == iterations
 
@@ -590,7 +583,7 @@ def test_one_banded_factorisation_per_step(monkeypatch, case):
         return counted_solve
 
     monkeypatch.setattr(planner, "_factorise", counted)
-    report = solve(_preset(*case))
+    report = solve(preset_scenario(*case))
     assert report.converged
     # Every accepted step factorises once; the step that finds the iterate
     # certified factorises nothing, and one whose line search fails would
@@ -607,7 +600,7 @@ def test_one_banded_factorisation_per_step(monkeypatch, case):
 
 def test_factorisation_solves_like_solveh_banded():
     # The same LAPACK routines as scipy's solveh_banded, so the same bits.
-    scen = _preset(50)
+    scen = preset_scenario(50)
     problem = planner._Problem(scen, SolverConfig())
     curv = problem.evaluate(planner._initial_allocations(problem))[-1]
     band = problem.band(curv)
