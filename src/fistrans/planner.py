@@ -343,45 +343,42 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
             back_solve = _factorise(problem.band(curv))
         except np.linalg.LinAlgError:
             return x, z, history, "singular"
-        # The objective's own gradient: without limits it gives the Newton
-        # step, with them the affine-scaling predictor.
+        # The step from the objective's own gradient: without limits the
+        # Newton step, with them the affine-scaling predictor.
         grad = root * problem.residuals(pull, marg)
-        if not n_limits:
-            step = back_solve(-grad)
-            slope = float((grad * step).sum())
-        else:
+        step = back_solve(-grad)
+        if n_limits:
             # Each limit's barrier target is floored so that its
             # complementarity settles at half of _COMP_TOL instead of driving
-            # its slack into roundoff, where z / s would swamp the band.
+            # its slack into roundoff, where z / s would swamp the band. Once
+            # every complementarity has settled only the floors are left, and
+            # the corrector carries no correction.
             floor = _COMP_FLOOR * np.maximum(z, 1.0)
-            if settled:
-                mu_pair = has * floor
-            else:
-                # Mehrotra's predictor-corrector. The affine-scaling predictor
-                # (barrier target 0) sets the centring sigma = (mu_aff / mu)^3;
-                # the corrector subtracts its second-order term ds * dz from
-                # each limit's floored target sigma * mu.
-                ds = orient * _differences(back_solve(-grad) / root, 0.0)
+            mu_pair, correction = has * floor, 0.0
+            if not settled:
+                # Mehrotra's predictor-corrector. The predictor (barrier
+                # target 0) sets the centring sigma = (mu_aff / mu)^3; the
+                # corrector subtracts its second-order term ds * dz from each
+                # limit's floored target sigma * mu.
+                ds = orient * _differences(step / root, 0.0)
                 dz = -z - z_over_s * ds
                 s_aff = s + _step_to_boundary(s, ds) * ds
                 z_aff = z + _step_to_boundary(z, dz) * dz
                 mu = float(np.vdot(s, z)) / n_limits
                 sigma = (float(np.vdot(s_aff, z_aff)) / n_limits / mu) ** 3
                 mu_pair = has * np.maximum(sigma * mu, floor)
+                correction = ds * dz * inv
             # The line search's merit is the barrier at the floored targets,
             # and its gradient judges descent. The plain centred step is taken
-            # where the corrector does not descend, and once every
-            # complementarity has settled, when only the floors are left.
+            # where the corrector does not descend.
             mu_over_s = mu_pair * inv
             grad = root * problem.residuals(pull, marg - mu_over_s[0] + mu_over_s[1])
-            if not settled:
-                target_over_s = mu_over_s - ds * dz * inv
-                step = back_solve(-root * problem.residuals(pull, marg - target_over_s[0] + target_over_s[1]))
-                slope = float((grad * step).sum())
-            if settled or not slope < 0.0:
+            target_over_s = mu_over_s - correction
+            step = back_solve(-root * problem.residuals(pull, marg - target_over_s[0] + target_over_s[1]))
+            if not (grad * step).sum() < 0.0:
                 target_over_s = mu_over_s
                 step = back_solve(-grad)
-                slope = float((grad * step).sum())
+        slope = float((grad * step).sum())
         if not slope < 0.0:
             return x, z, history, "line_search_stalled"
         dx = step / root
