@@ -385,7 +385,8 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
 
         # Armijo backtracking on the barrier merit from the largest step
         # that keeps the slacks positive. Changes below the merit's roundoff
-        # pass, so late dates, whose weight beta^t sits below it, still move.
+        # pass, so late dates, whose weight beta^t sits below it, still move,
+        # and so does a step whose predicted decrease the merit cannot resolve.
         if n_limits:
             # The change step is the first difference of the allocation step;
             # differencing two iterates would lose it to cancellation.
@@ -400,7 +401,7 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
             x_new = x + alpha * dx
             trial = problem.evaluate(x_new)
             merit_new = trial[0] - problem.log_barrier(mu_pair, s + alpha * ds) if n_limits else trial[0]
-            if merit_new <= merit + _ARMIJO_C1 * alpha * slope + resolution:
+            if merit_new <= merit + _ARMIJO_C1 * alpha * slope + resolution or -alpha * slope <= resolution:
                 break
             alpha *= 0.5
         else:

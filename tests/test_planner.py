@@ -20,6 +20,7 @@ from fistrans import (
     gradualism_metric,
     load_default_preset,
     objective_value,
+    parse_scenario,
     solve,
     stage_cost_minimizer,
 )
@@ -647,3 +648,60 @@ def test_termination_reports_a_stalled_line_search(monkeypatch):
     monkeypatch.setattr(planner, "_factorise", lambda band: np.zeros_like)
     report = solve(load_default_preset().scenario())
     assert (report.termination, report.converged, report.iterations) == ("line_search_stalled", False, 0)
+
+
+# An asymmetric T = 25 reform on which a full Newton step takes the residual
+# from about 1e-8 to 1e-12 while the merit reads only roundoff.
+ROUNDOFF_MERIT_REFORM = """\
+name = "reform-13"
+beta = 0.96
+horizon = 25
+
+[baseline]
+transfers = 15.334773507013177
+wages = 28.808439957176606
+investment = 15.902308654637139
+operating = 17.304781360842476
+
+[target]
+transfers = 15.18383018034498
+wages = 28.939639356730076
+investment = 15.601642928664395
+operating = 17.625191013929946
+
+[weights]
+transfers = 1.2830231994510937
+wages = 0.2671761208552148
+investment = 1.2758737130169735
+operating = 1.256574536441809
+total = 0.4619915626437809
+total_reference = 78.3367097265786
+
+[rigidity.transfers]
+gamma_up = 2.8181988661531534
+gamma_down = 3.4544872409269733
+eta = 0.4263293528509049
+
+[rigidity.wages]
+gamma_up = 1.8665782382506315
+gamma_down = 2.5644102243410236
+eta = 1.5571607362558242
+
+[rigidity.investment]
+gamma_up = 1.2847275612873508
+gamma_down = 1.6689584196774467
+eta = 0.5556968240572167
+
+[rigidity.operating]
+gamma_up = 2.683417830872136
+gamma_down = 2.742924818455367
+eta = 1.8253665794382206
+"""
+
+
+def test_a_step_below_the_merit_resolution_is_accepted():
+    # The line search used to reject that step, backtrack to a null step and
+    # repeat until the budget ran out, just above the gradient tolerance.
+    report = solve(parse_scenario(ROUNDOFF_MERIT_REFORM), SolverConfig(max_iterations=50))
+    assert report.termination == "converged"
+    assert report.iterations <= 10
