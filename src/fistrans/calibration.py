@@ -145,7 +145,8 @@ def load_default_preset() -> CalibrationPreset:
     """
     baseline = ExpenditureVector(46.0, 21.0, 12.0, 21.0)
     targets = ExpenditureVector(40.0, 18.0, 18.0, 24.0)
-    rigidity = RigidityParams(gamma=(4.0, 3.5, 1.5, 1.0), eta=(1.8, 1.5, 0.6, 0.4))
+    flexibility = (0.9, 0.8, 0.5, 0.3)
+    gamma, eta = zip(*map(rigidity_to_params, flexibility))
     cost = FiscalCostSpec(
         target=targets,
         weights=(0.25, 0.25, 0.25, 0.25),
@@ -186,8 +187,8 @@ def load_default_preset() -> CalibrationPreset:
         name=DEFAULT_PRESET_NAME,
         baseline=baseline,
         targets=targets,
-        flexibility=(0.9, 0.8, 0.5, 0.3),
-        rigidity=rigidity,
+        flexibility=flexibility,
+        rigidity=RigidityParams(gamma=gamma, eta=eta),
         cost=cost,
         beta=0.96,
         horizon=50,

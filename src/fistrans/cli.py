@@ -11,7 +11,9 @@ Subcommands:
   series, and check the first-year outlay against the long-run cost gain.
 * ``validate <scenario-file>``: parse and invariant-check only.
 
-Every subcommand accepts ``--preset NAME`` in place of a file. Exit codes:
+Every subcommand but ``scenario-table`` accepts ``--preset NAME`` in place of
+a file, not beside one; without either it runs the default preset, except
+``validate``, which needs one of them. Exit codes:
 0 on success, 1 on invalid input (validation, syntax or usage errors,
 unreadable files), 2 on solver non-convergence. Diagnostics go to stderr.
 """
@@ -63,10 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scenario_args(p: argparse.ArgumentParser, file_optional: bool = True) -> None:
-        nargs = "?" if file_optional else None
-        p.add_argument("scenario_file", nargs=nargs, help="scenario file path")
-        p.add_argument("--preset", default=None, help="preset name used when no file is given")
+    def add_scenario_args(p: argparse.ArgumentParser, required: bool = False) -> None:
+        source = p.add_mutually_exclusive_group(required=required)
+        source.add_argument("scenario_file", nargs="?", help="scenario file path")
+        source.add_argument("--preset", default=None, help="preset name used in place of a file")
 
     p_sim = sub.add_parser("simulate", help="solve the transition and report")
     add_scenario_args(p_sim)
@@ -76,15 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_be = sub.add_parser("breakeven", help="administrative-savings timing")
     add_scenario_args(p_be)
 
-    p_table = sub.add_parser("scenario-table", help="print the cataloged savings scenarios")
-    p_table.add_argument("--preset", default=None, help="preset providing the catalog")
+    sub.add_parser("scenario-table", help="print the cataloged savings scenarios")
 
     p_js = sub.add_parser("jshape", help="classify the effective-expenditure path")
     add_scenario_args(p_js)
     p_js.add_argument("--max-iterations", type=int, default=None, help="solver iteration budget")
 
     p_val = sub.add_parser("validate", help="parse and check a scenario file")
-    add_scenario_args(p_val, file_optional=False)
+    add_scenario_args(p_val, required=True)
     return parser
 
 
@@ -166,10 +167,6 @@ def _cmd_breakeven(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_table(args: argparse.Namespace) -> int:
-    preset_name = args.preset if args.preset is not None else DEFAULT_PRESET_NAME
-    if preset_name != DEFAULT_PRESET_NAME:
-        print(f"scenario-table requires the built-in catalog, got preset {preset_name!r}", file=sys.stderr)
-        return EXIT_INVALID
     preset = load_default_preset()
     header = f"{'scenario':<9}{'rho':>5}{'H':>3}  {'regime':<7}{'gamma_F':>8}{'eta_F':>7}  {'t*':<4}{'cum_net[0..5]':>14}"
     print(header)

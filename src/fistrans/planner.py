@@ -16,17 +16,19 @@ in T. The formulas of C and Phi live in ``costs``: each trial point is
 differenced once and evaluated with both kernels, in the allocations.
 
 Every scenario runs the same damped Newton loop with an Armijo line
-search. Optional per-category change limits lo_k <= d_{t,k} <= hi_k enter
+search, which also takes a step whose predicted decrease the merit cannot
+resolve. Optional per-category change limits lo_k <= d_{t,k} <= hi_k enter
 as primal-dual interior-point terms: each finite limit carries a slack and
 a multiplier per date, and their barrier marginal and curvature add to the
-adjustment cost's, so the band keeps its shape. With limits, an iteration
-is Mehrotra's predictor-corrector: the affine-scaling predictor, the
-corrector and, where the corrector does not descend on the barrier merit,
-a plain centred step are all back-solves with that one factorisation.
-Without limits an iteration is one back-solve and no limit term is
-computed. A category frozen at (0, 0) has no interior and is pinned to its
-baseline by identity rows. LAPACK comes from scipy, loaded at the first
-solve through ``_lapack``, so code that never solves does not import scipy.
+adjustment cost's, so the band keeps its shape. An iteration's first
+back-solve with its one factorisation is the step from the objective's own
+gradient: without limits the Newton step, the only back-solve, with no
+limit term computed; with limits Mehrotra's affine-scaling predictor. Its
+corrector carries no correction once every complementarity has settled,
+and a plain centred step replaces it where it does not descend. A category
+frozen at (0, 0) has no interior and is pinned to its baseline by identity
+rows. LAPACK comes from scipy, loaded at the first solve through
+``_lapack``, so code that never solves does not import scipy.
 
 Convergence is certified at every date by the current-value stationarity
 residuals, with multipliers for the change limits,

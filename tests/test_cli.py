@@ -250,8 +250,24 @@ def test_jshape_reports_rise_then_fall(capsys):
 
 
 def test_scenario_table_needs_the_built_in_catalog(capsys):
-    assert run_cli(["scenario-table", "--preset", "mine"]) == EXIT_INVALID
-    assert "requires the built-in catalog, got preset 'mine'" in capsys.readouterr().err
+    # The table is the built-in catalog, so the command takes no preset.
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["scenario-table", "--preset", "paper-default"])
+    assert exit_info.value.code == EXIT_INVALID
+    assert "unrecognized arguments: --preset paper-default" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "breakeven", "jshape", "validate"])
+def test_a_preset_beside_a_file_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli([command, str(REPO_SCENARIOS / "admin_savings_a.scn"), "--preset", "mystery"])
+    assert exit_info.value.code == EXIT_INVALID
+    assert "argument --preset: not allowed with argument scenario_file" in capsys.readouterr().err
+
+
+def test_validate_takes_a_preset_in_place_of_a_file(capsys):
+    assert run_cli(["validate", "--preset", "paper-default"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("ok: scenario 'paper-default' (preset paper-default, 0 overrides)")
 
 
 def test_unknown_preset_exits_invalid(capsys):
