@@ -700,8 +700,8 @@ eta = 1.8253665794382206
 
 
 def test_a_step_below_the_merit_resolution_is_accepted():
-    # The line search used to reject that step, backtrack to a null step and
-    # repeat until the budget ran out, just above the gradient tolerance.
+    # Rejecting that step would shrink it to a null step, repeated until the
+    # budget runs out just above the gradient tolerance.
     report = solve(parse_scenario(ROUNDOFF_MERIT_REFORM), SolverConfig(max_iterations=50))
     assert report.termination == "converged"
     assert report.iterations <= 10
