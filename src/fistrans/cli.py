@@ -84,7 +84,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add_scenario_args(p_js)
     p_js.add_argument("--max-iterations", type=int, default=None, help="solver iteration budget")
 
-    p_val = sub.add_parser("validate", help="parse and check a scenario file")
+    # argparse brackets a required group whose positional is optional, so
+    # the usage line is spelled out.
+    p_val = sub.add_parser(
+        "validate", help="parse and check a scenario file", usage="%(prog)s [-h] (scenario_file | --preset PRESET)"
+    )
     add_scenario_args(p_val, required=True)
     return parser
 

@@ -27,8 +27,10 @@ limit term computed; with limits Mehrotra's affine-scaling predictor. Its
 corrector carries no correction once every complementarity has settled,
 and a plain centred step replaces it where it does not descend. A category
 frozen at (0, 0) has no interior and is pinned to its baseline by identity
-rows. LAPACK comes from scipy, loaded at the first solve through
-``_lapack``, so code that never solves does not import scipy.
+rows. LAPACK comes from scipy's compiled extension alone, loaded at the
+first solve through ``_lapack``: code that never solves imports no scipy,
+and a solve imports scipy's top-level package and that extension, not
+the ``scipy.linalg`` package.
 
 Convergence is certified at every date by the current-value stationarity
 residuals, with multipliers for the change limits,
@@ -42,6 +44,9 @@ next year's marginal), together with complementarity z * slack ~ 0.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Callable, List, Optional, Tuple
@@ -283,10 +288,21 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
 
 @cache
 def _lapack():
-    """The LAPACK pair ``(dpbtrf, dpbtrs)``, imported from scipy at the first solve."""
-    from scipy.linalg import lapack
+    """The LAPACK pair ``(dpbtrf, dpbtrs)``, loaded at the first solve from
+    scipy's compiled extension ``scipy.linalg._flapack`` alone. These are the
+    objects ``scipy.linalg.lapack`` exports, without the import of the
+    ``scipy.linalg`` package, which would double a solving process's cold
+    start. A missing extension raises ``ImportError``."""
+    import scipy  # its start-up locates the OpenBLAS that some wheels bundle
 
-    return lapack.dpbtrf, lapack.dpbtrs
+    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", stem + suffix)
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+            return flapack.dpbtrf, flapack.dpbtrs
+    raise ImportError(f"scipy's LAPACK extension {stem}<suffix> is missing", path=stem)
 
 
 def _factorise(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -238,9 +239,17 @@ def read_scenario_file(path: str | os.PathLike) -> str:
         raise error from None
 
 
+@cache
+def _default_scenario() -> Scenario:
+    """The built-in preset's scenario, built once per process. A ``Scenario``
+    holds only tuples and floats, so every parse can share it; the preset
+    itself is not cached, because its ``internal_composition`` is a dict."""
+    return load_default_preset().scenario()
+
+
 def _resolve_preset(name: str, depth: int = 0) -> Scenario:
     if name == DEFAULT_PRESET_NAME:
-        return load_default_preset().scenario()
+        return _default_scenario()
     preset_dir = os.environ.get(PRESET_DIR_ENV)
     if preset_dir:
         candidate = Path(preset_dir) / f"{name}.scn"

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 
+import fistrans
 from fistrans import (
     BreakEvenSpec,
     ExpenditureVector,
@@ -113,3 +120,14 @@ def reform_scenario(
         beta=beta,
         horizon=horizon,
     )
+
+
+def fresh_python(code: str, *args: str):
+    """Run ``code`` with ``args`` in a new interpreter that imports fistrans
+    from this checkout; what it prints, read as a Python literal."""
+    src = str(Path(fistrans.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    return ast.literal_eval(result.stdout.strip())

@@ -1,11 +1,7 @@
 import ast
 import dataclasses
 import importlib
-import os
 import re
-import subprocess
-import sys
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -13,6 +9,8 @@ import pytest
 import fistrans
 from fistrans import ExpenditureVector, load_default_preset, serialize_scenario
 from fistrans.cli import EXIT_INVALID, EXIT_NOT_CONVERGED, EXIT_OK, _build_parser, run_cli
+
+from helpers import fresh_python
 
 REPO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -265,6 +263,15 @@ def test_a_preset_beside_a_file_is_a_usage_error(capsys, command):
     assert "argument --preset: not allowed with argument scenario_file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code", [(["validate", "-h"], EXIT_OK), (["validate"], EXIT_INVALID)])
+def test_validate_usage_names_a_file_or_a_preset_as_required(capsys, argv, code):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(argv)
+    assert exit_info.value.code == code
+    captured = capsys.readouterr()
+    assert "usage: fistrans validate [-h] (scenario_file | --preset PRESET)\n" in captured.out + captured.err
+
+
 def test_validate_takes_a_preset_in_place_of_a_file(capsys):
     assert run_cli(["validate", "--preset", "paper-default"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("ok: scenario 'paper-default' (preset paper-default, 0 overrides)")
@@ -309,12 +316,11 @@ def test_simulate_rejects_horizon_past_the_float_range(tmp_path, capsys):
 
 
 def test_only_a_solve_loads_scipy():
-    # scipy.linalg is about 60% of a cold start; only a solve needs it, so
-    # importing, validating, break-even timing and the scenario table load no scipy.
-    src = str(Path(fistrans.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = textwrap.dedent(
-        """
+    # Importing, validating, break-even timing and the scenario table load no
+    # scipy. A solve needs only LAPACK, so it loads scipy's top-level package
+    # and its LAPACK extension, not the scipy.linalg package (about half of a
+    # solving process's cold start) or scipy.optimize.
+    code = """
         import contextlib, io, sys
         import fistrans
         from fistrans.cli import run_cli
@@ -323,24 +329,23 @@ def test_only_a_solve_loads_scipy():
             with contextlib.redirect_stdout(io.StringIO()):
                 return run_cli(list(argv))
 
-        scenarios = sys.argv[1]
+        scenarios, command = sys.argv[1:]
         codes = [
             run("validate", f"{scenarios}/admin_savings_a.scn"),
             run("breakeven", f"{scenarios}/admin_savings_c.scn"),
             run("scenario-table"),
         ]
         before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-        codes.append(run("simulate", "--preset", "paper-default"))
-        print((codes, before, "scipy.linalg" in sys.modules, "scipy.optimize" in sys.modules))
-        """
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code, str(REPO_SCENARIOS)], env=env, capture_output=True, text=True, check=True, timeout=120
-    )
-    codes, before, linalg, optimize = ast.literal_eval(result.stdout.strip())
-    assert codes == [EXIT_OK] * 4
-    assert before == []
-    assert linalg and not optimize
+        codes.append(run(command, "--preset", "paper-default"))
+        linalg = sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
+        print((codes, before, linalg, "scipy.optimize" in sys.modules))
+    """
+    for command in ("simulate", "jshape"):
+        codes, before, linalg, optimize = fresh_python(code, str(REPO_SCENARIOS), command)
+        assert codes == [EXIT_OK] * 4, command
+        assert before == [], command
+        assert linalg == ["scipy.linalg._flapack"], command
+        assert not optimize, command
 
 
 def test_every_export_is_listed_by_its_module():

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.machinery
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from fistrans import planner
 from fistrans.costs import adjustment_cost, stage_cost
 from fistrans.calibration import asymmetric_variant
 
-from helpers import BASELINE, TARGETS, preset_scenario, random_scenario, reform_scenario, scalar_scenario
+from helpers import BASELINE, TARGETS, fresh_python, preset_scenario, random_scenario, reform_scenario, scalar_scenario
 
 NO_TERMINAL = SolverConfig(terminal_weight=0.0)
 
@@ -607,6 +608,8 @@ def test_factorisation_solves_like_solveh_banded():
     band = problem.band(curv)
     rhs = np.random.default_rng(3).standard_normal(band.shape[1])
     assert np.array_equal(planner._factorise(band)(rhs), sla.solveh_banded(band, rhs))
+    assert planner._lapack()[0] is sla.lapack.dpbtrf
+    assert planner._lapack()[1] is sla.lapack.dpbtrs
     with pytest.raises(np.linalg.LinAlgError):
         planner._factorise(-band)
     with pytest.raises(ValueError):
@@ -614,6 +617,34 @@ def test_factorisation_solves_like_solveh_banded():
     band[-1, 0] = np.nan
     with pytest.raises(ValueError):
         planner._factorise(band)
+
+
+def test_scipy_linalg_imported_after_a_solve_runs_the_same_routines():
+    # This process imported scipy.linalg before the first solve; a fresh one
+    # solves first, loading LAPACK's extension alone, and imports it after.
+    code = """
+        import sys
+        import numpy as np
+        from fistrans import SolverConfig, load_default_preset, planner, solve
+
+        scen = load_default_preset().scenario()
+        assert solve(scen).converged and "scipy.linalg" not in sys.modules
+        import scipy.linalg as sla
+
+        problem = planner._Problem(scen, SolverConfig())
+        band = problem.band(problem.evaluate(planner._initial_allocations(problem))[-1])
+        rhs = np.random.default_rng(3).standard_normal(band.shape[1])
+        same = np.array_equal(planner._factorise(band)(rhs), sla.solveh_banded(band, rhs))
+        print((same, planner._lapack()[0] is sla.lapack.dpbtrf, planner._lapack()[1] is sla.lapack.dpbtrs))
+    """
+    assert fresh_python(code) == (True, True, True)
+
+
+def test_a_missing_lapack_extension_is_an_import_error(monkeypatch):
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    planner._lapack.cache_clear()
+    with pytest.raises(ImportError, match=r"linalg.+_flapack<suffix> is missing"):
+        planner._lapack()
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from fistrans import (
     parse_scenario_info,
     serialize_scenario,
 )
+from fistrans import scenario_io
 from fistrans.scenario_io import build_report, emit_trajectory_csv, load_preset_scenario
 
 from helpers import random_scenario
@@ -201,6 +202,25 @@ def test_round_trip_default_preset():
     text = serialize_scenario(base)
     assert parse_scenario(text) == base
     assert serialize_scenario(parse_scenario(text)) == text
+
+
+def test_the_default_preset_is_built_once_for_every_parse(monkeypatch):
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return load_default_preset()
+
+    monkeypatch.setattr(scenario_io, "load_default_preset", counted)
+    scenario_io._default_scenario.cache_clear()
+    try:
+        scen = dataclasses.replace(load_default_preset().scenario(), beta=0.9)
+        assert parse_scenario(serialize_scenario(scen)) == scen
+        # The first parse's override does not leak into the shared preset.
+        assert parse_scenario("") == load_default_preset().scenario()
+    finally:
+        scenario_io._default_scenario.cache_clear()
+    assert len(calls) == 1
 
 
 def _mixed_bounds(rng: np.random.Generator):
