@@ -31,7 +31,7 @@ import numpy as np
 from .analytics import JShapeVerdict, baseline_gap, equal_step_path, jshape_condition, savings_series
 from .calibration import DEFAULT_PRESET_NAME, load_default_preset
 from .costs import adjustment_cost, stage_cost
-from .planner import SolveReport, SolverConfig, gradualism_metric, stage_cost_minimizer
+from .planner import SolveReport, SolverConfig, gradualism_metric
 from .scenario_io import (
     RunReport,
     ScenarioSyntaxError,
@@ -112,7 +112,7 @@ def _print_summary(report: RunReport, out) -> None:
     print(f"gradient_norm: {solve_report.gradient_norm:.3e}", file=out)
     print(f"max_euler_residual: {solve_report.max_euler_residual:.3e}", file=out)
     try:
-        anchor = ExpenditureVector.from_array(stage_cost_minimizer(scenario))
+        anchor = ExpenditureVector.from_array(solve_report.anchor)
         closure = f"{gradualism_metric(solve_report.trajectory, anchor):.4f}"
     except ValidationError:
         # Zero reform gap or an ill-posed long-run allocation; the solve
@@ -189,7 +189,7 @@ def _cmd_scenario_table(args: argparse.Namespace) -> int:
 def _cmd_jshape(args: argparse.Namespace) -> int:
     scenario, preset, overrides = _load(args)
     report = build_report(scenario, config=_solver_config(args), preset=preset, overrides=overrides)
-    long_run = ExpenditureVector.from_array(stage_cost_minimizer(scenario))
+    long_run = ExpenditureVector.from_array(report.solve.anchor)
     # The rise condition weighs the outlay of the intended reallocation,
     # executed at reform start, against the recurring long-run cost gain.
     intended = adjustment_cost(baseline_gap(long_run, scenario.baseline), scenario.rigidity).value

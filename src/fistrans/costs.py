@@ -57,18 +57,23 @@ class CostEval:
         object.__setattr__(self, "gradient", grad)
 
 
-def quad_cubic(d, gamma_up, gamma_down, eta):
-    """Elementwise value gamma/2 * d^2 + eta/3 * |d|^3, marginal gamma * d + eta * d * |d|
-    and curvature gamma + 2 * eta * |d|, with gamma = gamma_up for d > 0, else
-    gamma_down. The curvature's kink at d = 0 takes the mean gamma."""
+def quad_cubic(d, kink, skew, eta):
+    """Elementwise value gamma/2 * d^2 + eta/3 * |d|^3, marginal (gamma + eta * |d|) * d
+    and curvature gamma + 2 * eta * |d|, with gamma = kink + skew * sign(d): given
+    a rigidity's ``gamma_split()``, gamma_up for d > 0, gamma_down for d < 0 and
+    their mean, the kink, at d = 0. The parameters broadcast against d; a caller
+    that evaluates many points of one shape saves work by passing them at it."""
     d = np.asarray(d, dtype=float)
-    gamma = np.where(d > 0.0, gamma_up, gamma_down)
-    size = np.abs(d)
-    value = 0.5 * gamma * d * d + (np.asarray(eta) / 3.0) * size**3
-    marginal = gamma * d + eta * d * size
-    kink = 0.5 * (np.asarray(gamma_up) + np.asarray(gamma_down))
-    curvature = np.where(d == 0.0, kink, gamma) + 2.0 * eta * size
-    return value, marginal, curvature
+    gamma = kink + skew * np.sign(d)
+    cubic = eta * np.abs(d)
+    slope = gamma + cubic
+    return (0.5 * gamma + cubic / 3.0) * d * d, slope * d, slope + cubic
+
+
+def _row_sum(a):
+    """Sum over the length-4 last axis, category by category: the same bits for
+    one row as for many, and far cheaper than a reduction over that short axis."""
+    return a[..., 0] + a[..., 1] + a[..., 2] + a[..., 3]
 
 
 def quad_allocation(x, weights, target, total_weight, total_reference):
@@ -77,9 +82,11 @@ def quad_allocation(x, weights, target, total_weight, total_reference):
     and its gradient w * (x - target) + w_total * (sum_k x_k - total_reference)."""
     x = np.asarray(x, dtype=float)
     gap = x - target
-    tgap = x.sum(axis=-1) - total_reference
-    value = 0.5 * (weights * gap * gap).sum(axis=-1) + 0.5 * total_weight * tgap * tgap
-    return value, weights * gap + total_weight * tgap[..., None]
+    weighted = weights * gap
+    total_gap = _row_sum(x) - total_reference
+    total_pull = total_weight * total_gap
+    value = 0.5 * (_row_sum(weighted * gap) + total_pull * total_gap)
+    return value, weighted + total_pull[..., None]
 
 
 def quad_allocation_hessian(weights, total_weight) -> np.ndarray:
@@ -89,10 +96,7 @@ def quad_allocation_hessian(weights, total_weight) -> np.ndarray:
 
 def adjustment_cost(d: DeltaVector, p: RigidityParams) -> CostEval:
     """Adjustment cost of a change vector, with its gradient, in either rigidity mode."""
-    dv = d.as_array()
-    g_up, g_dn = p.gamma_pair()
-    eta = p.eta_array()
-    value, grad, _ = quad_cubic(dv, g_up, g_dn, eta)
+    value, grad, _ = quad_cubic(d.as_array(), *p.gamma_split(), p.eta_array())
     return CostEval(float(np.sum(value)), grad)
 
 

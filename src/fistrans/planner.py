@@ -20,17 +20,31 @@ search, which also takes a step whose predicted decrease the merit cannot
 resolve. Optional per-category change limits lo_k <= d_{t,k} <= hi_k enter
 as primal-dual interior-point terms: each finite limit carries a slack and
 a multiplier per date, and their barrier marginal and curvature add to the
-adjustment cost's, so the band keeps its shape. An iteration's first
-back-solve with its one factorisation is the step from the objective's own
-gradient: without limits the Newton step, the only back-solve, with no
-limit term computed; with limits Mehrotra's affine-scaling predictor. Its
-corrector carries no correction once every complementarity has settled,
-and a plain centred step replaces it where it does not descend. A category
-frozen at (0, 0) has no interior and is pinned to its baseline by identity
-rows. LAPACK comes from scipy's compiled extension alone, loaded at the
-first solve through ``_lapack``: code that never solves imports no scipy,
-and a solve imports scipy's top-level package and that extension, not
-the ``scipy.linalg`` package.
+adjustment cost's, so the band keeps its shape. An iteration factorises
+the band once. Without limits its one back-solve is the Newton step, and
+no limit term is computed. With limits, until every complementarity has
+settled, the first back-solve is Mehrotra's affine-scaling predictor, the
+step from the objective's own gradient, and the second its corrector; a
+plain centred step replaces the corrector where it does not descend, and
+is the only step once they have settled. A category frozen at (0, 0) has
+no interior and is pinned to its baseline by identity rows. LAPACK comes
+from scipy's compiled extension alone, loaded at the first solve through
+``_lapack``: code that never solves imports no scipy, and a solve imports
+scipy's top-level package and that extension, not the ``scipy.linalg``
+package.
+
+A step's arithmetic is laid out for few numpy calls: on (T, 4) arrays at
+the horizons of a reform comparison, dispatch, not arithmetic, sets its
+cost. Every per-category and per-date parameter is repeated over the
+dates once per solve, so no operation broadcasts. An iterate is the whole
+path x_0..x_T, so its changes are one difference. Its plain residuals,
+those without limit multipliers, are computed once, with its evaluation;
+the stop test, the Newton and barrier gradients and the corrector's
+right-hand side each add the multiplier terms' linear part
+m_t - beta * m_{t+1} to them. The primal and dual steps to the boundary
+come from one pass over the stacked slacks and multipliers. The
+certificate reuses the loop's evaluation of the last path unless
+``Trajectory`` changed it.
 
 Convergence is certified at every date by the current-value stationarity
 residuals, with multipliers for the change limits,
@@ -53,7 +67,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .costs import quad_allocation, quad_allocation_hessian, quad_cubic, stage_cost
+from .costs import quad_allocation, quad_allocation_hessian, quad_cubic
 from .types import (
     N_CATEGORIES,
     ExpenditureVector,
@@ -124,8 +138,10 @@ class SolveReport:
     with complementarity within the gradient tolerance. ``termination``
     then reads ``converged``; otherwise it says why the loop stopped:
     ``budget_exhausted``, ``line_search_stalled`` (no descent direction or
-    no accepted step), ``singular`` (the band did not factorise) or
-    ``roundoff_floor`` (at floating-point resolution).
+    no accepted step), ``singular`` (the band did not factorise, or was not
+    finite) or ``roundoff_floor`` (at floating-point resolution). ``anchor``
+    is the long-run allocation, the minimum of C, toward which the terminal
+    term pulls x_T.
     """
 
     converged: bool
@@ -136,95 +152,130 @@ class SolveReport:
     trajectory: Trajectory
     objective_history: Tuple[float, ...]
     termination: str
+    anchor: np.ndarray
 
 
 class _Problem:
     """Arrays and callables for one scenario solve. C and Phi enter only through
-    their ``costs`` kernels; ``allocation`` and ``adjustment`` hold the arguments.
-    The band's buffers, which only a solve needs, are built on first use."""
+    their ``costs`` kernels; ``allocation`` and ``adjustment`` hold the arguments,
+    each laid out at the shape (T, 4) of the allocations so that no operation of
+    a step broadcasts. The band's buffers, which only a solve needs, are built
+    on first use."""
 
     def __init__(self, scenario: Scenario, config: SolverConfig):
         self.scenario = scenario
         self.config = config
         self.x0 = scenario.baseline.as_array()
-        self.T = scenario.horizon
-        self.beta = scenario.beta
-        self.disc = scenario.beta ** np.arange(1, self.T + 1)
-        cost = scenario.cost
-        self.allocation = (cost.weights_array(), cost.target.as_array(), cost.total_weight, cost.total_reference)
-        self.adjustment = (*scenario.rigidity.gamma_pair(), scenario.rigidity.eta_array())
-        self.anchor = stage_cost_minimizer(scenario)
-        self.value0 = float(quad_allocation(self.x0, *self.allocation)[0])
+        T = self.T = scenario.horizon
+        beta = self.beta = scenario.beta
+        self.disc = beta ** np.arange(1, T + 1)
+        cost, rigidity = scenario.cost, scenario.rigidity
+        weights, target = cost.weights_array(), cost.target.as_array()
+        allocation = (weights, target, cost.total_weight, cost.total_reference)
+        self.hess = quad_allocation_hessian(weights, cost.total_weight)
+        self.anchor = _minimizer(self.hess, allocation)
+        self.anchor.flags.writeable = False  # the report hands it out
+        self.value0 = float(quad_allocation(self.x0, *allocation)[0])
         self.wT = config.terminal_weight
-        self.tail_weight = (self.beta ** self.T) * self.wT
-        # The change limits as a pair, lower then upper, each broadcasting
-        # over dates: a limit's slack is sign * (d - limit).
+        self.tail_weight = (beta**T) * self.wT
+        # The change limits as a pair, lower then upper: a limit's slack is
+        # sign * (d - limit). ``has`` marks the finite limits of free categories.
         lo, hi = scenario.bounds_arrays()
-        self.frozen = lo == hi
+        frozen = lo == hi
+        self.free = ~frozen
+        self.frozen = frozen if frozen.any() else None  # None: no mask to apply
         self.limits = np.stack([lo, hi])[:, None, :]
         self.sign = np.array([1.0, -1.0])[:, None, None]
-        self.has = np.isfinite(self.limits) & ~self.frozen
-        self.orient = self.sign * self.has
+        has = np.isfinite(self.limits[:, 0]) & ~frozen
+        self.n_limits = T * int(np.sum(has))
+        # Every per-category parameter, repeated over the dates.
+        kink, skew = rigidity.gamma_split()
+        per_category = [kink, skew, rigidity.eta_array(), weights, target, np.diagonal(self.hess)]
+        per_category += [-np.sqrt(beta) * self.free, *has, *(self.sign[:, 0] * has)]
+        grid = np.empty((len(per_category), T, N_CATEGORIES))
+        grid[:] = np.array(per_category, dtype=float)[:, None, :]
+        self.adjustment = (grid[0], grid[1], grid[2])
+        self.allocation = (grid[3], grid[4], cost.total_weight, cost.total_reference)
+        self.base, self.coupling = grid[5], grid[6]
+        self.has, self.orient = grid[7:9], grid[9:11]
+        # Every per-date factor, repeated over the categories (and limits): the
+        # discount, and the scaling beta^(t/2) of the Newton system.
+        dates = np.empty((3, T, N_CATEGORIES))
+        dates[:] = np.array([self.disc, self.disc, beta ** (np.arange(1, T + 1) / 2.0)])[:, :, None]
+        self.disc_pair, self.root = dates[:2], dates[2]
 
     @cached_property
-    def _band_buffers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _band_buffers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The Hessian band's entries that no iterate changes; ``band`` fills
         in the rest. Row 0 couples (t-1, k) with (t, k); rows 1..3 hold C's
-        Hessian's coupling of categories within a date; row 4 the
-        diagonal, to which each date's next curvature adds (date T's: the
-        anchor's). Returns the band, row 0's factor, the diagonal's base and
-        the next-curvature buffer."""
-        n = N_CATEGORIES
-        free = ~self.frozen
-        hess = quad_allocation_hessian(self.scenario.cost.weights_array(), self.scenario.cost.total_weight)
+        Hessian's coupling of categories within a date; row 4 the diagonal,
+        to which each date's next curvature adds (date T's: the anchor's).
+        Returns the band, the same band as LAPACK reads it, and the
+        next-curvature buffer."""
+        n, free = N_CATEGORIES, self.free
         ab = np.zeros((n + 1, self.T, n))
         for offset in range(1, n):
-            ab[n - offset, :, offset:] = np.diagonal(hess, offset) * (free[:-offset] & free[offset:])
-        return ab, -np.sqrt(self.beta) * free, np.diagonal(hess), np.full((self.T, n), 2.0 * self.wT)
+            ab[n - offset, :, offset:] = np.diagonal(self.hess, offset) * (free[:-offset] & free[offset:])
+        return ab, ab.reshape(n + 1, self.T * n), np.full((self.T, n), 2.0 * self.wT)
 
-    def evaluate(self, x: np.ndarray) -> Tuple[float, Tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-        """Objective at the allocations x_1..x_T; the pull, the residuals' part no
-        marginal cost enters (the stage gradients, and the anchor's pull on date
-        T); and the marginal and curvature adjustment cost of each change."""
-        phi, marg, curv = quad_cubic(_differences(x, self.x0), *self.adjustment)
-        stage, stage_grad = quad_allocation(x, *self.allocation)
-        value = self.value0 + float(self.disc @ (stage + phi.sum(axis=-1)))
+    def evaluate(self, path: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
+        """Objective on the path x_0..x_T (x_0 the baseline); the plain
+        current-value residuals, those without limit multipliers; and the
+        curvature adjustment cost of each change."""
+        x = path[1:]
+        phi, marg, curv = quad_cubic(x - path[:-1], *self.adjustment)
+        stage, residual = quad_allocation(x, *self.allocation)
         tail = x[-1] - self.anchor
-        return value + self.tail_weight * float(tail @ tail), (stage_grad, 2.0 * self.wT * tail), marg, curv
+        value = self.value0 + float(np.dot(self.disc, stage)) + float(np.vdot(self.disc_pair[0], phi))
+        # Row t divided by beta^t: the stage gradient, this change's marginal
+        # cost less the discounted next one, and on date T the anchor's pull.
+        residual += marg
+        residual[:-1] -= self.beta * marg[1:]
+        residual[-1] += 2.0 * self.wT * tail
+        if self.frozen is not None:
+            np.copyto(residual, 0.0, where=self.frozen)  # a frozen category's multiplier absorbs it
+        return value + self.tail_weight * float(np.dot(tail, tail)), residual, curv
 
-    def residuals(self, pull: Tuple[np.ndarray, np.ndarray], marg: np.ndarray) -> np.ndarray:
-        """Current-value gradient in x_1..x_T (row t divided by beta^t), given
-        the marginal cost of each change. A frozen category's free multiplier
-        absorbs its entries."""
-        stage, anchor = pull
-        r = stage + marg
-        r[:-1] -= self.beta * marg[1:]
-        r[-1] += anchor
-        np.copyto(r, 0.0, where=self.frozen)
-        return r
+    def with_multipliers(self, residual: np.ndarray, pair: np.ndarray) -> np.ndarray:
+        """The residuals with the limits' terms added: each date's m_t - beta * m_{t+1},
+        where m = upper - lower of a (lower, upper) ``pair`` of multiplier-like
+        terms. They are zero wherever a category has no limit."""
+        m = pair[1] - pair[0]
+        m[:-1] -= self.beta * m[1:]
+        m += residual
+        return m
 
-    def kkt(self, pull, marg: np.ndarray, slack: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def kkt(self, residual: np.ndarray, slack: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Absolute residuals with the limits' multipliers z, and each limit's complementarity."""
-        return np.abs(self.residuals(pull, marg - z[0] + z[1])), slack * np.minimum(z, 1.0)
+        return np.abs(self.with_multipliers(residual, z)), slack * np.minimum(z, 1.0)
 
     def log_barrier(self, mu: np.ndarray, slack: np.ndarray) -> float:
         """Discounted sum of mu * log(slack) over dates and limits."""
-        return float(self.disc @ (mu * np.log(slack)).sum(axis=0).sum(axis=1))
+        return float(np.vdot(self.disc_pair, mu * np.log(slack)))
 
     def band(self, curv: np.ndarray) -> np.ndarray:
         """Upper band (bandwidth 4) of the Hessian in x_1..x_T, given the
         current-value curvature of each change. Rows and columns of date t
         are scaled by beta^(-t/2), which leaves every entry of order one.
         Filled in place: each call overwrites the previous call's band."""
-        n = N_CATEGORIES
-        ab, coupling, base, nxt = self._band_buffers
-        np.multiply(curv[1:], coupling, out=ab[0, 1:])
+        ab, flat, nxt = self._band_buffers
+        diag = ab[N_CATEGORIES]
+        np.multiply(curv[1:], self.coupling[1:], out=ab[0, 1:])
         np.multiply(curv[1:], self.beta, out=nxt[:-1])
-        diag = base + curv
+        np.add(self.base, curv, out=diag)
         diag += nxt
-        np.add(diag, _RIDGE * (1.0 + diag), out=ab[n])
-        np.copyto(ab[n], 1.0, where=self.frozen)
-        return ab.reshape(n + 1, self.T * n)
+        diag *= 1.0 + _RIDGE
+        diag += _RIDGE
+        if self.frozen is not None:
+            np.copyto(diag, 1.0, where=self.frozen)
+        return flat
+
+
+def _minimizer(hess: np.ndarray, allocation: tuple) -> np.ndarray:
+    """The minimum of C, from its Hessian and the ``quad_allocation`` arguments (see ``stage_cost_minimizer``)."""
+    target = allocation[1]
+    z, *_ = np.linalg.lstsq(hess, -quad_allocation(target, *allocation)[1], rcond=None)
+    return target + z
 
 
 def stage_cost_minimizer(scenario: Scenario) -> np.ndarray:
@@ -236,13 +287,13 @@ def stage_cost_minimizer(scenario: Scenario) -> np.ndarray:
     inactive or the reference matches the target's total.
     """
     cost = scenario.cost
-    hess = quad_allocation_hessian(cost.weights_array(), cost.total_weight)
-    z, *_ = np.linalg.lstsq(hess, -stage_cost(cost.target, cost).gradient, rcond=None)
-    return cost.target.as_array() + z
+    weights = cost.weights_array()
+    allocation = (weights, cost.target.as_array(), cost.total_weight, cost.total_reference)
+    return _minimizer(quad_allocation_hessian(weights, cost.total_weight), allocation)
 
 
 def _initial_allocations(problem: _Problem) -> np.ndarray:
-    """The configured guess, moved strictly inside every finite change limit."""
+    """The path x_0..x_T of the configured guess, moved strictly inside every finite change limit."""
     if problem.config.initial_guess == "hold":
         d0 = np.zeros((problem.T, N_CATEGORIES))
     else:
@@ -250,21 +301,14 @@ def _initial_allocations(problem: _Problem) -> np.ndarray:
     lo, hi = problem.limits[:, 0]
     margin = np.minimum(0.25 * (hi - lo), _START_MARGIN)
     d0 = np.clip(d0, lo + margin, hi - margin)
-    return problem.x0 + np.cumsum(d0, axis=0)
+    return np.vstack([problem.x0, problem.x0 + np.cumsum(d0, axis=0)])
 
 
-def _differences(x: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Year-on-year differences of the rows of ``x``, the first taken from ``first``."""
-    d = np.empty_like(x)
-    np.subtract(x[0], first, out=d[0])
-    np.subtract(x[1:], x[:-1], out=d[1:])
-    return d
-
-
-def _step_to_boundary(values: np.ndarray, steps: np.ndarray) -> float:
-    """Largest step in (0, 1] that keeps positive ``values`` positive, with a margin."""
+def _step_to_boundary(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """For each half of the stacked positive ``values``, the largest step in
+    (0, 1] along ``steps`` that keeps them positive, with a margin."""
     ratio = np.divide(values, steps, out=np.full_like(values, -np.inf), where=steps < 0.0)
-    return float(min(1.0, _STEP_TO_BOUNDARY * -ratio.max()))
+    return np.minimum(1.0, _STEP_TO_BOUNDARY * -np.maximum.reduce(ratio.reshape(2, -1), axis=1))
 
 
 def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -283,7 +327,11 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
             "the smallest normal float; the late dates cannot be solved"
         )
     problem = _Problem(scenario, cfg)
-    return _certify(problem, *_newton(problem))
+    # A multiplier's z / s can overflow late in a degenerate solve. The band is
+    # then not finite, which ends the loop as singular; neither the overflow nor
+    # what it leaves in the certificate is a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _certify(problem, *_newton(problem))
 
 
 @cache
@@ -324,127 +372,158 @@ def _factorise(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return back_solve
 
 
-def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str]:
-    """Damped Newton / interior-point loop from the first guess: the last
-    allocations x_1..x_T, the multipliers, the objective history and why it stopped."""
+def _limit_steps(problem: _Problem, dpath: np.ndarray, z: np.ndarray, z_over_s, target_over_s, out: np.ndarray) -> None:
+    """The slack and multiplier steps (ds, dz) of the path step ``dpath``, into
+    ``out``: dz = target / s - z - (z / s) * ds. The change step is the first
+    difference of the path step; differencing two iterates would lose it to
+    cancellation."""
+    ds, dz = out
+    np.multiply(problem.orient, dpath[1:] - dpath[:-1], out=ds)
+    np.multiply(z_over_s, ds, out=dz)
+    np.subtract(target_over_s - z, dz, out=dz)
+
+
+def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str, tuple]:
+    """Damped Newton / interior-point loop from the first guess: the last path
+    x_0..x_T, the multipliers, the objective history, why it stopped, and the
+    last path's ``evaluate``."""
     cfg = problem.config
-    has, sign, orient = problem.has, problem.sign, problem.orient
-    n_limits = problem.T * int(np.sum(has))
-    # The Newton system is solved scaled by beta^(t/2), so the gradients
-    # below are the objective's scaled the same way.
-    root = (problem.beta ** (np.arange(1, problem.T + 1) / 2.0))[:, None]
+    has, root, n_limits = problem.has, problem.root, problem.n_limits
+    dual_tol = min(_DUAL_TOL, cfg.gradient_tol)
 
-    x = _initial_allocations(problem)
-    # Slacks and multipliers are carried as iterates, stacked (lower, upper)
-    # on the first axis; columns without a limit hold slack 1 and multiplier
-    # 0, so they drop out of every formula. Recomputing a slack from the
-    # changes would round to zero near an active limit. Without any finite
-    # limit every limit term is an exact zero, and the loop skips them.
-    s = np.where(has, sign * (_differences(x, problem.x0) - problem.limits), 1.0)
-    z = has * np.ones_like(s)
+    path = _initial_allocations(problem)
+    # Slacks and multipliers are carried as iterates, stacked (slacks,
+    # multipliers) and each (lower, upper); columns without a limit hold slack
+    # 1 and multiplier 0, so they drop out of every formula. Recomputing a
+    # slack from the changes would round to zero near an active limit.
+    # Without any finite limit every limit term is an exact zero, and the loop
+    # skips them.
+    sz = np.empty((2, 2, problem.T, N_CATEGORIES))
+    s, z = sz
+    np.copyto(s, np.where(has, problem.sign * (path[1:] - path[:-1] - problem.limits), 1.0))
+    np.copyto(z, has)
+    dsz = np.empty_like(sz)
+    ds, dz = dsz
+    # Steps of the path; the baseline's row stays zero.
+    dpath = np.zeros_like(path)
+    dx = dpath[1:]
 
-    value, pull, marg, curv = problem.evaluate(x)
+    evaluation = problem.evaluate(path)
+    value, residual, curv = evaluation
     history: List[float] = [value]
     for _ in range(cfg.max_iterations):
-        dual, comp = problem.kkt(pull, marg, s, z)
-        settled = comp.max() <= _COMP_TOL
-        if settled and dual.max() <= min(_DUAL_TOL, cfg.gradient_tol):
-            return x, z, history, "converged"
+        if n_limits:
+            settled = (s * np.minimum(z, 1.0)).max() <= _COMP_TOL
+            done = settled and np.abs(problem.with_multipliers(residual, z)).max() <= dual_tol
+        else:
+            settled, done = True, np.abs(residual).max() <= dual_tol
+        if done:
+            return path, z, history, "converged", evaluation
 
         # Every Newton step of this iterate shares one factorisation; the
         # limits' primal-dual curvature z / s adds to each change's.
         if n_limits:
-            inv = has / s
-            z_over_s = z * inv
+            z_over_s = z / s
             curv = curv + z_over_s[0] + z_over_s[1]
         try:
             back_solve = _factorise(problem.band(curv))
-        except np.linalg.LinAlgError:
-            return x, z, history, "singular"
-        # The step from the objective's own gradient: without limits the
-        # Newton step, with them the affine-scaling predictor.
-        grad = root * problem.residuals(pull, marg)
-        step = back_solve(-grad)
-        if n_limits:
+        except (np.linalg.LinAlgError, ValueError):  # not positive definite, or not finite
+            return path, z, history, "singular", evaluation
+        if not n_limits:
+            # The Newton step of the objective, the only back-solve.
+            grad = root * residual
+            step = back_solve(-grad)
+            slope = float(np.vdot(grad, step))
+        else:
             # Each limit's barrier target is floored so that its
             # complementarity settles at half of _COMP_TOL instead of driving
             # its slack into roundoff, where z / s would swamp the band. Once
             # every complementarity has settled only the floors are left, and
-            # the corrector carries no correction.
+            # there is no correction.
             floor = _COMP_FLOOR * np.maximum(z, 1.0)
-            mu_pair, correction = has * floor, 0.0
-            if not settled:
-                # Mehrotra's predictor-corrector. The predictor (barrier
-                # target 0) sets the centring sigma = (mu_aff / mu)^3; the
-                # corrector subtracts its second-order term ds * dz from each
-                # limit's floored target sigma * mu.
-                ds = orient * _differences(step / root, 0.0)
-                dz = -z - z_over_s * ds
-                s_aff = s + _step_to_boundary(s, ds) * ds
-                z_aff = z + _step_to_boundary(z, dz) * dz
+            if settled:
+                target, correction = has * floor, None
+            else:
+                # Mehrotra's predictor-corrector. The predictor, the step from
+                # the objective's own gradient (barrier target 0), sets the
+                # centring sigma = (mu_aff / mu)^3; the corrector subtracts its
+                # second-order term ds * dz from each limit's floored target
+                # sigma * mu.
+                np.divide(back_solve(-root * residual), root, out=dx)
+                _limit_steps(problem, dpath, z, z_over_s, 0.0, dsz)
+                affine = sz + _step_to_boundary(sz, dsz)[:, None, None, None] * dsz
                 mu = float(np.vdot(s, z)) / n_limits
-                sigma = (float(np.vdot(s_aff, z_aff)) / n_limits / mu) ** 3
-                mu_pair = has * np.maximum(sigma * mu, floor)
-                correction = ds * dz * inv
+                sigma = (float(np.vdot(affine[0], affine[1])) / n_limits / mu) ** 3
+                target = has * np.maximum(sigma * mu, floor)
+                correction = ds * dz / s
             # The line search's merit is the barrier at the floored targets,
             # and its gradient judges descent. The plain centred step is taken
-            # where the corrector does not descend.
-            mu_over_s = mu_pair * inv
-            grad = root * problem.residuals(pull, marg - mu_over_s[0] + mu_over_s[1])
-            target_over_s = mu_over_s - correction
-            step = back_solve(-root * problem.residuals(pull, marg - target_over_s[0] + target_over_s[1]))
-            if not (grad * step).sum() < 0.0:
-                target_over_s = mu_over_s
-                step = back_solve(-grad)
-        slope = float((grad * step).sum())
+            # where there is no corrector or it does not descend.
+            mu_over_s = target / s
+            grad = root * problem.with_multipliers(residual, mu_over_s)
+            slope = 0.0
+            if correction is not None:
+                target_over_s = mu_over_s - correction
+                step = back_solve(-root * problem.with_multipliers(residual, target_over_s))
+                slope = float(np.vdot(grad, step))
+            if not slope < 0.0:
+                target_over_s, step = mu_over_s, back_solve(-grad)
+                slope = float(np.vdot(grad, step))
         if not slope < 0.0:
-            return x, z, history, "line_search_stalled"
-        dx = step / root
+            return path, z, history, "line_search_stalled", evaluation
+        np.divide(step, root, out=dx)
 
         # Armijo backtracking on the barrier merit from the largest step
         # that keeps the slacks positive. Changes below the merit's roundoff
         # pass, so late dates, whose weight beta^t sits below it, still move,
         # and so does a step whose predicted decrease the merit cannot resolve.
         if n_limits:
-            # The change step is the first difference of the allocation step;
-            # differencing two iterates would lose it to cancellation.
-            ds = orient * _differences(dx, 0.0)
-            dz = target_over_s - z - z_over_s * ds
-            alpha = _step_to_boundary(s, ds)
-            merit = value - problem.log_barrier(mu_pair, s)
+            _limit_steps(problem, dpath, z, z_over_s, target_over_s, dsz)
+            alpha, alpha_z = _step_to_boundary(sz, dsz).tolist()
+            merit = value - problem.log_barrier(target, s)
         else:
             alpha, merit = 1.0, value
         resolution = 1e-15 * (1.0 + abs(merit))
         for _ in range(_MAX_BACKTRACKS):
-            x_new = x + alpha * dx
-            trial = problem.evaluate(x_new)
-            merit_new = trial[0] - problem.log_barrier(mu_pair, s + alpha * ds) if n_limits else trial[0]
+            trial_path = path + alpha * dpath
+            trial = problem.evaluate(trial_path)
+            merit_new = trial[0] - problem.log_barrier(target, s + alpha * ds) if n_limits else trial[0]
             if merit_new <= merit + _ARMIJO_C1 * alpha * slope + resolution or -alpha * slope <= resolution:
                 break
             alpha *= 0.5
         else:
-            return x, z, history, "line_search_stalled"
-        x = x_new
-        value, pull, marg, curv = trial
+            return path, z, history, "line_search_stalled", evaluation
+        path, evaluation = trial_path, trial
+        value, residual, curv = trial
         if n_limits:
-            s = s + alpha * ds
-            z = z + _step_to_boundary(z, dz) * dz
+            s += alpha * ds
+            z += alpha_z * dz
         history.append(value)
-        if settled and np.abs(dx).max() <= _ROUNDOFF * np.abs(x).max():
+        if settled and np.abs(dx).max() <= _ROUNDOFF * np.abs(path[1:]).max():
             # The step moved no allocation beyond roundoff, so stationarity
             # is as tight as floating point allows at this scale.
-            return x, z, history, "roundoff_floor"
-    return x, z, history, "budget_exhausted"
+            return path, z, history, "roundoff_floor", evaluation
+    return path, z, history, "budget_exhausted", evaluation
 
 
-def _certify(problem: _Problem, x: np.ndarray, z: np.ndarray, history: List[float], stopped: str) -> SolveReport:
-    """Certify the allocations as returned, at every date, and report them."""
-    trajectory = Trajectory(np.vstack([problem.x0, x]))
-    objective, pull, marg, _ = problem.evaluate(trajectory.values[1:])
+def _certify(
+    problem: _Problem, path: np.ndarray, z: np.ndarray, history: List[float], stopped: str, evaluation: Optional[tuple] = None
+) -> SolveReport:
+    """Certify the path as returned, at every date, and report it. The loop's
+    ``evaluation`` of the path is reused unless ``Trajectory`` moved it
+    (it lifts roundoff below zero to zero).
+
+    A loop that stopped short of convergence may leave allocations below
+    zero, which no trajectory holds; its report names the stop, with the
+    path lifted to zero, instead of failing as if the input were invalid."""
+    trajectory = Trajectory(path if stopped == "converged" else np.maximum(path, 0.0))
+    if evaluation is None or not np.array_equal(trajectory.values, path):
+        evaluation = problem.evaluate(trajectory.values)
+    objective, residual, _ = evaluation
     # Each limit's slack, negative where the limit is violated.
     gap = problem.sign * (trajectory.deltas()[1:] - problem.limits)
     slack = np.abs(np.where(problem.has, gap, 0.0))
-    residuals, comp = problem.kkt(pull, marg, slack, z)
+    residuals, comp = problem.kkt(residual, slack, z)
     grad_norm = float(np.max(residuals))
     max_residual = float(np.max(residuals[:-1])) if problem.T >= 2 else 0.0
     violation = max(0.0, float(np.max(-gap)))
@@ -464,6 +543,7 @@ def _certify(problem: _Problem, x: np.ndarray, z: np.ndarray, history: List[floa
         trajectory=trajectory,
         objective_history=tuple(history),
         termination="converged" if converged else stopped,
+        anchor=problem.anchor,
     )
 
 
@@ -482,7 +562,7 @@ def objective_value(trajectory: Trajectory, scenario: Scenario, config: Optional
     problem = _Problem(scenario, cfg)
     if not np.array_equal(trajectory.values[0], problem.x0):
         raise ValidationError(f"trajectory does not start at the scenario's baseline {problem.x0.tolist()}")
-    return problem.evaluate(trajectory.values[1:])[0]
+    return problem.evaluate(trajectory.values)[0]
 
 
 def euler_residuals(traj: Trajectory, scenario: Scenario) -> np.ndarray:
@@ -495,9 +575,8 @@ def euler_residuals(traj: Trajectory, scenario: Scenario) -> np.ndarray:
     if traj.horizon < 2:
         raise ValidationError(f"residual check needs at least 3 trajectory rows, got {traj.horizon + 1}")
     problem = _Problem(replace(scenario, baseline=traj.at(0), delta_bounds=None, horizon=traj.horizon), SolverConfig())
-    _, pull, marg, _ = problem.evaluate(traj.values[1:])
     # The anchor's pull enters only the date-T row, which is not returned.
-    return problem.residuals(pull, marg)[:-1]
+    return problem.evaluate(traj.values)[1][:-1]
 
 
 def gradualism_metric(traj: Trajectory, x_star: ExpenditureVector) -> float:

@@ -22,6 +22,7 @@ serialized scenario parses back bit-equal regardless of preset evolution.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cache
@@ -186,7 +187,7 @@ def _parse_lines(text: str) -> Tuple[Dict[str, _Entries], Dict[str, int]]:
                 number = float(value_text)
             except ValueError:
                 raise ScenarioSyntaxError(f"expected a number or quoted string, got {value_text!r}", lineno, column) from None
-            if np.isnan(number):
+            if math.isnan(number):
                 raise ScenarioSyntaxError("nan is not a valid value", lineno, column)
             value = number
         if key in sections[current]:

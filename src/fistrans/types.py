@@ -50,10 +50,9 @@ class Category(Enum):
     INVESTMENT = "I"
     OPERATING = "F"
 
-    @property
-    def key(self) -> str:
-        """Lowercase field name used in scenario files and dataclasses."""
-        return self.name.lower()
+    def __init__(self, code: str) -> None:
+        #: Lowercase field name used in scenario files and dataclasses.
+        self.key = self.name.lower()
 
 
 CATEGORIES: Tuple[Category, ...] = tuple(Category)
@@ -187,6 +186,13 @@ class _Rigidity:
             return self._pair(self.gamma_up), self._pair(self.gamma_down)
         gamma = self._pair(self.gamma)
         return gamma, gamma
+
+    def gamma_split(self) -> tuple:
+        """The quadratic curvatures as (kink, skew), their mean and half-difference:
+        gamma_up = kink + skew and gamma_down = kink - skew. The kink is the
+        curvature at zero change; skew is zero when symmetric."""
+        up, down = self.gamma_pair()
+        return 0.5 * (up + down), 0.5 * (up - down)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.machinery
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fistrans import (
     FiscalCostSpec,
     RigidityParams,
     Scenario,
+    SolveReport,
     SolverConfig,
     Trajectory,
     ValidationError,
@@ -567,6 +569,95 @@ def test_iteration_counts_are_pinned(case, iterations):
     report = solve(preset_scenario(*case))
     assert report.converged
     assert report.iterations == iterations
+
+
+# The iteration count of every solve in a seeded corpus, each certified: 80
+# random_scenario draws from default_rng(1616), with limits at even indices,
+# then the +-0.5 preset at T = 50 and 300. Counts recorded before the step's
+# arithmetic was rewritten, which kept each one.
+CORPUS_ITERATIONS = (
+    10, 6, 15, 5, 12, 6, 9, 6, 13, 5, 10, 5, 10, 6, 10, 6, 12, 5, 8, 5,
+    9, 5, 11, 6, 8, 6, 7, 6, 8, 6, 11, 5, 10, 6, 15, 6, 10, 5, 11, 6,
+    14, 5, 10, 5, 19, 6, 17, 6, 11, 6, 10, 5, 10, 5, 10, 5, 10, 6, 10, 5,
+    14, 7, 9, 5, 11, 5, 11, 6, 11, 6, 10, 6, 10, 4, 10, 6, 8, 4, 13, 5,
+    8, 8,
+)  # fmt: skip
+
+
+def test_a_seeded_corpus_keeps_its_iteration_counts():
+    rng = np.random.default_rng(1616)
+    scenarios = [random_scenario(rng, with_bounds=i % 2 == 0) for i in range(80)]
+    scenarios += [preset_scenario(50, 0.5), preset_scenario(300, 0.5)]
+    reports = [solve(scen) for scen in scenarios]
+    assert [(r.iterations, r.termination) for r in reports] == [(n, "converged") for n in CORPUS_ITERATIONS]
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The number of ``_Problem.evaluate`` calls so far, as a list of ones."""
+    calls = []
+    evaluate = planner._Problem.evaluate
+
+    def counted(problem, path):
+        calls.append(1)
+        return evaluate(problem, path)
+
+    monkeypatch.setattr(planner._Problem, "evaluate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bound", [None, 0.5])
+def test_a_solve_evaluates_its_first_guess_and_each_trial_point_once(evaluations, bound):
+    # No step of the preset backtracks, so the loop evaluates its first guess
+    # and one trial point per iteration; the certificate evaluates nothing.
+    scen = preset_scenario(50, bound)
+    report = solve(scen)
+    assert report.converged
+    assert len(evaluations) == report.iterations + 1
+    problem = planner._Problem(scen, SolverConfig())
+    result = planner._newton(problem)
+    del evaluations[:]
+    # A path that Trajectory lifts to zero where it sits within roundoff below
+    # it is evaluated again, as lifted.
+    path = result[0].copy()
+    path[-1, 0] = -1e-12
+    lifted = planner._certify(problem, path, *result[1:])
+    assert len(evaluations) == 1 and lifted.trajectory.values[-1, 0] == 0.0
+    assert lifted.objective == objective_value(lifted.trajectory, scen)
+
+
+@pytest.mark.parametrize("bound", [None, 0.5])
+def test_the_certificate_from_the_loops_evaluation_matches_a_fresh_one(bound):
+    problem = planner._Problem(preset_scenario(50, bound), SolverConfig())
+    path, z, history, stopped, evaluation = planner._newton(problem)
+    reused = planner._certify(problem, path, z, history, stopped, evaluation)
+    fresh = planner._certify(problem, path, z, history, stopped)
+    for field in dataclasses.fields(SolveReport):
+        mine, theirs = getattr(reused, field.name), getattr(fresh, field.name)
+        if isinstance(mine, Trajectory):
+            mine, theirs = mine.values, theirs.values
+        assert np.array_equal(mine, theirs), field.name
+
+
+def test_a_band_that_overflows_is_a_singular_stop():
+    # Nearly free composition, no adjustment curvature, a frozen category and
+    # two limits one-sided at zero, at T = 1000 with beta = 0.5: the late dates
+    # weigh nothing, a slack there is driven into roundoff, and z / s
+    # overflows. The band is then not finite, which stops the loop, and the
+    # path is reported lifted to zero where it wandered below it.
+    preset = load_default_preset().scenario()
+    scen = dataclasses.replace(
+        preset,
+        cost=dataclasses.replace(preset.cost, weights=(1e-8,) * 4, total_weight=1.0),
+        rigidity=RigidityParams(gamma=(0.0,) * 4, eta=(0.0,) * 4),
+        delta_bounds=((0.0, 0.0), (-1.0, 1.0), (0.0, 0.1), (-0.1, 0.0)),
+        beta=0.5,
+        horizon=1000,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve(scen)
+    assert (report.termination, report.converged) == ("singular", False)
 
 
 @pytest.mark.parametrize("case", [(50, 0.5), (300, 0.5), (1000, None)])
