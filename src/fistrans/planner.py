@@ -101,6 +101,7 @@ _ROUNDOFF = 1e-14
 # Floor of each limit's barrier target (see _newton).
 _COMP_FLOOR = 0.5 * _COMP_TOL
 _STEP_TO_BOUNDARY = 0.995
+_UPPER = np.triu_indices(N_CATEGORIES, 1)
 # The first guess keeps this far inside finite change limits.
 _START_MARGIN = 1e-2
 # Relative ridge on the scaled band's diagonal (per date, beta^t times the
@@ -184,10 +185,10 @@ class _Problem:
         frozen = lo == hi
         self.free = ~frozen
         self.frozen = frozen if frozen.any() else None  # None: no mask to apply
-        self.limits = np.stack([lo, hi])[:, None, :]
+        self.limits = np.array([lo, hi])[:, None, :]
         self.sign = np.array([1.0, -1.0])[:, None, None]
-        has = np.isfinite(self.limits[:, 0]) & ~frozen
-        self.n_limits = T * int(np.sum(has))
+        has = np.isfinite(self.limits[:, 0]) & self.free
+        self.n_limits = T * np.count_nonzero(has)
         # Every per-category parameter, repeated over the dates.
         kink, skew = rigidity.gamma_split()
         per_category = [kink, skew, rigidity.eta_array(), weights, target, np.diagonal(self.hess)]
@@ -203,6 +204,7 @@ class _Problem:
         dates = np.empty((3, T, N_CATEGORIES))
         dates[:] = np.array([self.disc, self.disc, beta ** (np.arange(1, T + 1) / 2.0)])[:, :, None]
         self.disc_pair, self.root = dates[:2], dates[2]
+        self.neg_root = -self.root
 
     @cached_property
     def _band_buffers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,10 +214,14 @@ class _Problem:
         to which each date's next curvature adds (date T's: the anchor's).
         Returns the band, the same band as LAPACK reads it, and the
         next-curvature buffer."""
-        n, free = N_CATEGORIES, self.free
-        ab = np.zeros((n + 1, self.T, n))
-        for offset in range(1, n):
-            ab[n - offset, :, offset:] = np.diagonal(self.hess, offset) * (free[:-offset] & free[offset:])
+        n = N_CATEGORIES
+        # One date's band: entry (i, j), i < j, of C's Hessian, without the
+        # couplings of frozen categories, sits in row n - (j - i), column j.
+        date = np.zeros((n + 1, n))
+        i, j = _UPPER
+        date[n - (j - i), j] = self.hess[i, j] * (self.free[i] & self.free[j])
+        ab = np.empty((n + 1, self.T, n))
+        ab[:] = date[:, None, :]
         return ab, ab.reshape(n + 1, self.T * n), np.full((self.T, n), 2.0 * self.wT)
 
     def evaluate(self, path: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
@@ -294,21 +300,24 @@ def stage_cost_minimizer(scenario: Scenario) -> np.ndarray:
 
 def _initial_allocations(problem: _Problem) -> np.ndarray:
     """The path x_0..x_T of the configured guess, moved strictly inside every finite change limit."""
-    if problem.config.initial_guess == "hold":
-        d0 = np.zeros((problem.T, N_CATEGORIES))
-    else:
-        d0 = np.tile((problem.anchor - problem.x0) / problem.T, (problem.T, 1))
+    step = np.zeros(N_CATEGORIES) if problem.config.initial_guess == "hold" else (problem.anchor - problem.x0) / problem.T
     lo, hi = problem.limits[:, 0]
     margin = np.minimum(0.25 * (hi - lo), _START_MARGIN)
-    d0 = np.clip(d0, lo + margin, hi - margin)
-    return np.vstack([problem.x0, problem.x0 + np.cumsum(d0, axis=0)])
+    d0 = np.empty((problem.T, N_CATEGORIES))
+    d0[:] = np.clip(step, lo + margin, hi - margin)
+    path = np.empty((problem.T + 1, N_CATEGORIES))
+    path[0] = problem.x0
+    np.add(problem.x0, np.cumsum(d0, axis=0), out=path[1:])
+    return path
 
 
-def _step_to_boundary(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+def _step_to_boundary(values: np.ndarray, steps: np.ndarray) -> Tuple[float, float]:
     """For each half of the stacked positive ``values``, the largest step in
-    (0, 1] along ``steps`` that keeps them positive, with a margin."""
-    ratio = np.divide(values, steps, out=np.full_like(values, -np.inf), where=steps < 0.0)
-    return np.minimum(1.0, _STEP_TO_BOUNDARY * -np.maximum.reduce(ratio.reshape(2, -1), axis=1))
+    (0, 1] along ``steps`` that keeps them positive, with a margin. Only
+    negative steps bound it; the others may divide by zero."""
+    ratio = np.where(steps < 0.0, values / steps, -np.inf)
+    lo, hi = np.maximum.reduce(ratio.reshape(2, -1), axis=1).tolist()
+    return min(1.0, _STEP_TO_BOUNDARY * -lo), min(1.0, _STEP_TO_BOUNDARY * -hi)
 
 
 def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -327,11 +336,7 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
             "the smallest normal float; the late dates cannot be solved"
         )
     problem = _Problem(scenario, cfg)
-    # A multiplier's z / s can overflow late in a degenerate solve. The band is
-    # then not finite, which ends the loop as singular; neither the overflow nor
-    # what it leaves in the certificate is a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _certify(problem, *_newton(problem))
+    return _certify(problem, *_newton(problem))
 
 
 @cache
@@ -383,12 +388,16 @@ def _limit_steps(problem: _Problem, dpath: np.ndarray, z: np.ndarray, z_over_s, 
     np.subtract(target_over_s - z, dz, out=dz)
 
 
+# A multiplier's z / s can overflow late in a degenerate solve. The band is
+# then not finite, which ends the loop as singular; neither the overflow nor
+# what it leaves in the certificate is a warning.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str, tuple]:
     """Damped Newton / interior-point loop from the first guess: the last path
     x_0..x_T, the multipliers, the objective history, why it stopped, and the
     last path's ``evaluate``."""
     cfg = problem.config
-    has, root, n_limits = problem.has, problem.root, problem.n_limits
+    has, root, neg_root, n_limits = problem.has, problem.root, problem.neg_root, problem.n_limits
     dual_tol = min(_DUAL_TOL, cfg.gradient_tol)
 
     path = _initial_allocations(problem)
@@ -430,10 +439,11 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
         except (np.linalg.LinAlgError, ValueError):  # not positive definite, or not finite
             return path, z, history, "singular", evaluation
         if not n_limits:
-            # The Newton step of the objective, the only back-solve.
-            grad = root * residual
-            step = back_solve(-grad)
-            slope = float(np.vdot(grad, step))
+            # The Newton step of the objective, the only back-solve, from
+            # minus the scaled gradient.
+            descent = neg_root * residual
+            step = back_solve(descent)
+            slope = -float(np.vdot(descent, step))
         else:
             # Each limit's barrier target is floored so that its
             # complementarity settles at half of _COMP_TOL instead of driving
@@ -449,9 +459,9 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
                 # centring sigma = (mu_aff / mu)^3; the corrector subtracts its
                 # second-order term ds * dz from each limit's floored target
                 # sigma * mu.
-                np.divide(back_solve(-root * residual), root, out=dx)
+                np.divide(back_solve(neg_root * residual), root, out=dx)
                 _limit_steps(problem, dpath, z, z_over_s, 0.0, dsz)
-                affine = sz + _step_to_boundary(sz, dsz)[:, None, None, None] * dsz
+                affine = sz + np.array(_step_to_boundary(sz, dsz))[:, None, None, None] * dsz
                 mu = float(np.vdot(s, z)) / n_limits
                 sigma = (float(np.vdot(affine[0], affine[1])) / n_limits / mu) ** 3
                 target = has * np.maximum(sigma * mu, floor)
@@ -464,7 +474,7 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
             slope = 0.0
             if correction is not None:
                 target_over_s = mu_over_s - correction
-                step = back_solve(-root * problem.with_multipliers(residual, target_over_s))
+                step = back_solve(neg_root * problem.with_multipliers(residual, target_over_s))
                 slope = float(np.vdot(grad, step))
             if not slope < 0.0:
                 target_over_s, step = mu_over_s, back_solve(-grad)
@@ -479,7 +489,7 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
         # and so does a step whose predicted decrease the merit cannot resolve.
         if n_limits:
             _limit_steps(problem, dpath, z, z_over_s, target_over_s, dsz)
-            alpha, alpha_z = _step_to_boundary(sz, dsz).tolist()
+            alpha, alpha_z = _step_to_boundary(sz, dsz)
             merit = value - problem.log_barrier(target, s)
         else:
             alpha, merit = 1.0, value
@@ -506,6 +516,7 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
     return path, z, history, "budget_exhausted", evaluation
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _certify(
     problem: _Problem, path: np.ndarray, z: np.ndarray, history: List[float], stopped: str, evaluation: Optional[tuple] = None
 ) -> SolveReport:
@@ -521,7 +532,8 @@ def _certify(
         evaluation = problem.evaluate(trajectory.values)
     objective, residual, _ = evaluation
     # Each limit's slack, negative where the limit is violated.
-    gap = problem.sign * (trajectory.deltas()[1:] - problem.limits)
+    values = trajectory.values
+    gap = problem.sign * (values[1:] - values[:-1] - problem.limits)
     slack = np.abs(np.where(problem.has, gap, 0.0))
     residuals, comp = problem.kkt(residual, slack, z)
     grad_norm = float(np.max(residuals))
