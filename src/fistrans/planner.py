@@ -524,10 +524,10 @@ def _certify(
     ``evaluation`` of the path is reused unless ``Trajectory`` moved it
     (it lifts roundoff below zero to zero).
 
-    A loop that stopped short of convergence may leave allocations below
-    zero, which no trajectory holds; its report names the stop, with the
-    path lifted to zero, instead of failing as if the input were invalid."""
-    trajectory = Trajectory(path if stopped == "converged" else np.maximum(path, 0.0))
+    A band that is not finite can stop the loop at allocations below zero,
+    which no trajectory holds; that report names the stop, with the path
+    lifted to zero, instead of failing as if the input were invalid."""
+    trajectory = Trajectory(np.maximum(path, 0.0) if stopped == "singular" else path)
     if evaluation is None or not np.array_equal(trajectory.values, path):
         evaluation = problem.evaluate(trajectory.values)
     objective, residual, _ = evaluation
