@@ -316,8 +316,8 @@ def _step_to_boundary(values: np.ndarray, steps: np.ndarray) -> Tuple[float, flo
     (0, 1] along ``steps`` that keeps them positive, with a margin. Only
     negative steps bound it; the others may divide by zero."""
     ratio = np.where(steps < 0.0, values / steps, -np.inf)
-    lo, hi = np.maximum.reduce(ratio.reshape(2, -1), axis=1).tolist()
-    return min(1.0, _STEP_TO_BOUNDARY * -lo), min(1.0, _STEP_TO_BOUNDARY * -hi)
+    first, second = np.maximum.reduce(ratio.reshape(2, -1), axis=1).tolist()
+    return min(1.0, _STEP_TO_BOUNDARY * -first), min(1.0, _STEP_TO_BOUNDARY * -second)
 
 
 def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveReport:
