@@ -300,7 +300,10 @@ def stage_cost_minimizer(scenario: Scenario) -> np.ndarray:
 
 def _initial_allocations(problem: _Problem) -> np.ndarray:
     """The path x_0..x_T of the configured guess, moved strictly inside every finite change limit."""
-    step = np.zeros(N_CATEGORIES) if problem.config.initial_guess == "hold" else (problem.anchor - problem.x0) / problem.T
+    if problem.config.initial_guess == "hold":
+        step = np.zeros(N_CATEGORIES)
+    else:
+        step = (problem.anchor - problem.x0) / problem.T
     lo, hi = problem.limits[:, 0]
     margin = np.minimum(0.25 * (hi - lo), _START_MARGIN)
     d0 = np.empty((problem.T, N_CATEGORIES))
@@ -388,137 +391,141 @@ def _limit_steps(problem: _Problem, dpath: np.ndarray, z: np.ndarray, z_over_s, 
     np.subtract(target_over_s - z, dz, out=dz)
 
 
-# A multiplier's z / s can overflow late in a degenerate solve. The band is
-# then not finite, which ends the loop as singular; neither the overflow nor
-# what it leaves in the certificate is a warning.
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str, tuple]:
     """Damped Newton / interior-point loop from the first guess: the last path
     x_0..x_T, the multipliers, the objective history, why it stopped, and the
     last path's ``evaluate``."""
-    cfg = problem.config
-    has, root, neg_root, n_limits = problem.has, problem.root, problem.neg_root, problem.n_limits
-    dual_tol = min(_DUAL_TOL, cfg.gradient_tol)
+    # A step to the boundary divides by the steps that are not negative, and a
+    # multiplier's z / s can overflow late in a degenerate solve, when the band
+    # is no longer finite and the loop stops as singular. Neither is a warning.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cfg = problem.config
+        has, root, neg_root, n_limits = problem.has, problem.root, problem.neg_root, problem.n_limits
+        dual_tol = min(_DUAL_TOL, cfg.gradient_tol)
 
-    path = _initial_allocations(problem)
-    # Slacks and multipliers are carried as iterates, stacked (slacks,
-    # multipliers) and each (lower, upper); columns without a limit hold slack
-    # 1 and multiplier 0, so they drop out of every formula. Recomputing a
-    # slack from the changes would round to zero near an active limit.
-    # Without any finite limit every limit term is an exact zero, and the loop
-    # skips them.
-    sz = np.empty((2, 2, problem.T, N_CATEGORIES))
-    s, z = sz
-    np.copyto(s, np.where(has, problem.sign * (path[1:] - path[:-1] - problem.limits), 1.0))
-    np.copyto(z, has)
-    dsz = np.empty_like(sz)
-    ds, dz = dsz
-    # Steps of the path; the baseline's row stays zero.
-    dpath = np.zeros_like(path)
-    dx = dpath[1:]
+        path = _initial_allocations(problem)
+        # Slacks and multipliers are carried as iterates, stacked (slacks,
+        # multipliers) and each (lower, upper); columns without a limit hold slack
+        # 1 and multiplier 0, so they drop out of every formula. Recomputing a
+        # slack from the changes would round to zero near an active limit.
+        # Without any finite limit every limit term is an exact zero, and the loop
+        # skips them.
+        sz = np.empty((2, 2, problem.T, N_CATEGORIES))
+        s, z = sz
+        np.copyto(s, np.where(has, problem.sign * (path[1:] - path[:-1] - problem.limits), 1.0))
+        np.copyto(z, has)
+        dsz = np.empty_like(sz)
+        ds, dz = dsz
+        # Steps of the path; the baseline's row stays zero.
+        dpath = np.zeros_like(path)
+        dx = dpath[1:]
 
-    evaluation = problem.evaluate(path)
-    value, residual, curv = evaluation
-    history: List[float] = [value]
-    for _ in range(cfg.max_iterations):
-        if n_limits:
-            settled = (s * np.minimum(z, 1.0)).max() <= _COMP_TOL
-            done = settled and np.abs(problem.with_multipliers(residual, z)).max() <= dual_tol
-        else:
-            settled, done = True, np.abs(residual).max() <= dual_tol
-        if done:
-            return path, z, history, "converged", evaluation
-
-        # Every Newton step of this iterate shares one factorisation; the
-        # limits' primal-dual curvature z / s adds to each change's.
-        if n_limits:
-            z_over_s = z / s
-            curv = curv + z_over_s[0] + z_over_s[1]
-        try:
-            back_solve = _factorise(problem.band(curv))
-        except (np.linalg.LinAlgError, ValueError):  # not positive definite, or not finite
-            return path, z, history, "singular", evaluation
-        if not n_limits:
-            # The Newton step of the objective, the only back-solve, from
-            # minus the scaled gradient.
-            descent = neg_root * residual
-            step = back_solve(descent)
-            slope = -float(np.vdot(descent, step))
-        else:
-            # Each limit's barrier target is floored so that its
-            # complementarity settles at half of _COMP_TOL instead of driving
-            # its slack into roundoff, where z / s would swamp the band. Once
-            # every complementarity has settled only the floors are left, and
-            # there is no correction.
-            floor = _COMP_FLOOR * np.maximum(z, 1.0)
-            if settled:
-                target, correction = has * floor, None
+        evaluation = problem.evaluate(path)
+        value, residual, curv = evaluation
+        history: List[float] = [value]
+        for _ in range(cfg.max_iterations):
+            if n_limits:
+                settled = (s * np.minimum(z, 1.0)).max() <= _COMP_TOL
+                done = settled and np.abs(problem.with_multipliers(residual, z)).max() <= dual_tol
             else:
-                # Mehrotra's predictor-corrector. The predictor, the step from
-                # the objective's own gradient (barrier target 0), sets the
-                # centring sigma = (mu_aff / mu)^3; the corrector subtracts its
-                # second-order term ds * dz from each limit's floored target
-                # sigma * mu.
-                np.divide(back_solve(neg_root * residual), root, out=dx)
-                _limit_steps(problem, dpath, z, z_over_s, 0.0, dsz)
-                affine = sz + np.array(_step_to_boundary(sz, dsz))[:, None, None, None] * dsz
-                mu = float(np.vdot(s, z)) / n_limits
-                sigma = (float(np.vdot(affine[0], affine[1])) / n_limits / mu) ** 3
-                target = has * np.maximum(sigma * mu, floor)
-                correction = ds * dz / s
-            # The line search's merit is the barrier at the floored targets,
-            # and its gradient judges descent. The plain centred step is taken
-            # where there is no corrector or it does not descend.
-            mu_over_s = target / s
-            grad = root * problem.with_multipliers(residual, mu_over_s)
-            slope = 0.0
-            if correction is not None:
-                target_over_s = mu_over_s - correction
-                step = back_solve(neg_root * problem.with_multipliers(residual, target_over_s))
-                slope = float(np.vdot(grad, step))
+                settled, done = True, np.abs(residual).max() <= dual_tol
+            if done:
+                return path, z, history, "converged", evaluation
+
+            # Every Newton step of this iterate shares one factorisation; the
+            # limits' primal-dual curvature z / s adds to each change's.
+            if n_limits:
+                z_over_s = z / s
+                curv = curv + z_over_s[0] + z_over_s[1]
+            try:
+                back_solve = _factorise(problem.band(curv))
+            except (np.linalg.LinAlgError, ValueError):  # not positive definite, or not finite
+                return path, z, history, "singular", evaluation
+            if not n_limits:
+                # The Newton step of the objective, the only back-solve, from
+                # minus the scaled gradient.
+                descent = neg_root * residual
+                step = back_solve(descent)
+                slope = -float(np.vdot(descent, step))
+            else:
+                # Each limit's barrier target is floored so that its
+                # complementarity settles at half of _COMP_TOL instead of driving
+                # its slack into roundoff, where z / s would swamp the band. Once
+                # every complementarity has settled only the floors are left, and
+                # there is no correction.
+                floor = _COMP_FLOOR * np.maximum(z, 1.0)
+                if settled:
+                    target, correction = has * floor, None
+                else:
+                    # Mehrotra's predictor-corrector. The predictor, the step from
+                    # the objective's own gradient (barrier target 0), sets the
+                    # centring sigma = (mu_aff / mu)^3; the corrector subtracts its
+                    # second-order term ds * dz from each limit's floored target
+                    # sigma * mu.
+                    np.divide(back_solve(neg_root * residual), root, out=dx)
+                    _limit_steps(problem, dpath, z, z_over_s, 0.0, dsz)
+                    affine = sz + np.array(_step_to_boundary(sz, dsz))[:, None, None, None] * dsz
+                    mu = float(np.vdot(s, z)) / n_limits
+                    sigma = (float(np.vdot(affine[0], affine[1])) / n_limits / mu) ** 3
+                    target = has * np.maximum(sigma * mu, floor)
+                    correction = ds * dz / s
+                # The line search's merit is the barrier at the floored targets,
+                # and its gradient judges descent. The plain centred step is taken
+                # where there is no corrector or it does not descend.
+                mu_over_s = target / s
+                grad = root * problem.with_multipliers(residual, mu_over_s)
+                slope = 0.0
+                if correction is not None:
+                    target_over_s = mu_over_s - correction
+                    step = back_solve(neg_root * problem.with_multipliers(residual, target_over_s))
+                    slope = float(np.vdot(grad, step))
+                if not slope < 0.0:
+                    target_over_s, step = mu_over_s, back_solve(-grad)
+                    slope = float(np.vdot(grad, step))
             if not slope < 0.0:
-                target_over_s, step = mu_over_s, back_solve(-grad)
-                slope = float(np.vdot(grad, step))
-        if not slope < 0.0:
-            return path, z, history, "line_search_stalled", evaluation
-        np.divide(step, root, out=dx)
+                return path, z, history, "line_search_stalled", evaluation
+            np.divide(step, root, out=dx)
 
-        # Armijo backtracking on the barrier merit from the largest step
-        # that keeps the slacks positive. Changes below the merit's roundoff
-        # pass, so late dates, whose weight beta^t sits below it, still move,
-        # and so does a step whose predicted decrease the merit cannot resolve.
-        if n_limits:
-            _limit_steps(problem, dpath, z, z_over_s, target_over_s, dsz)
-            alpha, alpha_z = _step_to_boundary(sz, dsz)
-            merit = value - problem.log_barrier(target, s)
-        else:
-            alpha, merit = 1.0, value
-        resolution = 1e-15 * (1.0 + abs(merit))
-        for _ in range(_MAX_BACKTRACKS):
-            trial_path = path + alpha * dpath
-            trial = problem.evaluate(trial_path)
-            merit_new = trial[0] - problem.log_barrier(target, s + alpha * ds) if n_limits else trial[0]
-            if merit_new <= merit + _ARMIJO_C1 * alpha * slope + resolution or -alpha * slope <= resolution:
-                break
-            alpha *= 0.5
-        else:
-            return path, z, history, "line_search_stalled", evaluation
-        path, evaluation = trial_path, trial
-        value, residual, curv = trial
-        if n_limits:
-            s += alpha * ds
-            z += alpha_z * dz
-        history.append(value)
-        if settled and np.abs(dx).max() <= _ROUNDOFF * np.abs(path[1:]).max():
-            # The step moved no allocation beyond roundoff, so stationarity
-            # is as tight as floating point allows at this scale.
-            return path, z, history, "roundoff_floor", evaluation
-    return path, z, history, "budget_exhausted", evaluation
+            # Armijo backtracking on the barrier merit from the largest step
+            # that keeps the slacks positive. Changes below the merit's roundoff
+            # pass, so late dates, whose weight beta^t sits below it, still move,
+            # and so does a step whose predicted decrease the merit cannot resolve.
+            if n_limits:
+                _limit_steps(problem, dpath, z, z_over_s, target_over_s, dsz)
+                alpha, alpha_z = _step_to_boundary(sz, dsz)
+                merit = value - problem.log_barrier(target, s)
+            else:
+                alpha, merit = 1.0, value
+            resolution = 1e-15 * (1.0 + abs(merit))
+            for _ in range(_MAX_BACKTRACKS):
+                trial_path = path + alpha * dpath
+                trial = problem.evaluate(trial_path)
+                merit_new = trial[0] - problem.log_barrier(target, s + alpha * ds) if n_limits else trial[0]
+                if merit_new <= merit + _ARMIJO_C1 * alpha * slope + resolution or -alpha * slope <= resolution:
+                    break
+                alpha *= 0.5
+            else:
+                return path, z, history, "line_search_stalled", evaluation
+            path, evaluation = trial_path, trial
+            value, residual, curv = trial
+            if n_limits:
+                s += alpha * ds
+                z += alpha_z * dz
+            history.append(value)
+            if settled and np.abs(dx).max() <= _ROUNDOFF * np.abs(path[1:]).max():
+                # The step moved no allocation beyond roundoff, so stationarity
+                # is as tight as floating point allows at this scale.
+                return path, z, history, "roundoff_floor", evaluation
+        return path, z, history, "budget_exhausted", evaluation
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _certify(
-    problem: _Problem, path: np.ndarray, z: np.ndarray, history: List[float], stopped: str, evaluation: Optional[tuple] = None
+    problem: _Problem,
+    path: np.ndarray,
+    z: np.ndarray,
+    history: List[float],
+    stopped: str,
+    evaluation: Optional[tuple] = None,
 ) -> SolveReport:
     """Certify the path as returned, at every date, and report it. The loop's
     ``evaluation`` of the path is reused unless ``Trajectory`` moved it
@@ -527,36 +534,40 @@ def _certify(
     A band that is not finite can stop the loop at allocations below zero,
     which no trajectory holds; that report names the stop, with the path
     lifted to zero, instead of failing as if the input were invalid."""
-    trajectory = Trajectory(np.maximum(path, 0.0) if stopped == "singular" else path)
-    if evaluation is None or not np.array_equal(trajectory.values, path):
-        evaluation = problem.evaluate(trajectory.values)
-    objective, residual, _ = evaluation
-    # Each limit's slack, negative where the limit is violated.
-    values = trajectory.values
-    gap = problem.sign * (values[1:] - values[:-1] - problem.limits)
-    slack = np.abs(np.where(problem.has, gap, 0.0))
-    residuals, comp = problem.kkt(residual, slack, z)
-    grad_norm = float(np.max(residuals))
-    max_residual = float(np.max(residuals[:-1])) if problem.T >= 2 else 0.0
-    violation = max(0.0, float(np.max(-gap)))
+    # What an overflow in a degenerate loop leaves is reported, not warned of.
+    with np.errstate(over="ignore", invalid="ignore"):
+        trajectory = Trajectory(np.maximum(path, 0.0) if stopped == "singular" else path)
+        if evaluation is None or not np.array_equal(trajectory.values, path):
+            evaluation = problem.evaluate(trajectory.values)
+        objective, residual, _ = evaluation
+        # Each limit's slack, negative where the limit is violated.
+        values = trajectory.values
+        gap = problem.sign * (values[1:] - values[:-1] - problem.limits)
+        slack = np.abs(np.where(problem.has, gap, 0.0))
+        residuals, comp = problem.kkt(residual, slack, z)
+        grad_norm = float(np.max(residuals))
+        max_residual = float(np.max(residuals[:-1])) if problem.T >= 2 else 0.0
+        violation = max(0.0, float(np.max(-gap)))
 
-    cfg = problem.config
-    converged = bool(
-        grad_norm <= cfg.gradient_tol and max_residual <= cfg.euler_tol and max(comp.max(), violation) <= cfg.gradient_tol
-    )
-    if stopped == "converged" and not converged:
-        stopped = "roundoff_floor"  # the loop's own test is as tight as it goes
-    return SolveReport(
-        converged=converged,
-        iterations=len(history) - 1,
-        objective=objective,
-        gradient_norm=grad_norm,
-        max_euler_residual=max_residual,
-        trajectory=trajectory,
-        objective_history=tuple(history),
-        termination="converged" if converged else stopped,
-        anchor=problem.anchor,
-    )
+        cfg = problem.config
+        converged = bool(
+            grad_norm <= cfg.gradient_tol
+            and max_residual <= cfg.euler_tol
+            and max(comp.max(), violation) <= cfg.gradient_tol
+        )
+        if stopped == "converged" and not converged:
+            stopped = "roundoff_floor"  # the loop's own test is as tight as it goes
+        return SolveReport(
+            converged=converged,
+            iterations=len(history) - 1,
+            objective=objective,
+            gradient_norm=grad_norm,
+            max_euler_residual=max_residual,
+            trajectory=trajectory,
+            objective_history=tuple(history),
+            termination="converged" if converged else stopped,
+            anchor=problem.anchor,
+        )
 
 
 def objective_value(trajectory: Trajectory, scenario: Scenario, config: Optional[SolverConfig] = None) -> float:
