@@ -639,14 +639,13 @@ def test_the_certificate_from_the_loops_evaluation_matches_a_fresh_one(bound):
         assert np.array_equal(mine, theirs), field.name
 
 
-def test_a_band_that_overflows_is_a_singular_stop():
+def _overflowing_scenarios():
+    preset = load_default_preset().scenario()
     # Nearly free composition, no adjustment curvature, a frozen category and
     # two limits one-sided at zero, at T = 1000 with beta = 0.5: the late dates
     # weigh nothing, a slack there is driven into roundoff, and z / s
-    # overflows. The band is then not finite, which stops the loop, and the
-    # path is reported lifted to zero where it wandered below it.
-    preset = load_default_preset().scenario()
-    scen = dataclasses.replace(
+    # overflows. Where it does depends on rounding.
+    degenerate = dataclasses.replace(
         preset,
         cost=dataclasses.replace(preset.cost, weights=(1e-8,) * 4, total_weight=1.0),
         rigidity=RigidityParams(gamma=(0.0,) * 4, eta=(0.0,) * 4),
@@ -654,6 +653,15 @@ def test_a_band_that_overflows_is_a_singular_stop():
         beta=0.5,
         horizon=1000,
     )
+    # A cubic curvature near the float range overflows the first guess's band.
+    stiff_cubic = RigidityParams(gamma=preset.rigidity.gamma, eta=(1e308,) * 4)
+    return [degenerate, dataclasses.replace(preset, rigidity=stiff_cubic, horizon=5)]
+
+
+@pytest.mark.parametrize("scen", _overflowing_scenarios(), ids=["degenerate-mixed-T1000", "stiff-cubic"])
+def test_a_band_that_overflows_is_a_singular_stop(scen):
+    # The band is then not finite, which stops the loop; the path is reported
+    # lifted to zero where it wandered below it, and nothing warns.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = solve(scen)
