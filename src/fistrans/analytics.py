@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .costs import quad_cubic
+from .costs import quad_cubic, quad_cubic_args
 from .types import (
     BreakEvenSpec,
     DeltaVector,
@@ -92,7 +92,7 @@ class SavingsSeries:
 
 def adjustment_series(traj: Trajectory, p: RigidityParams) -> np.ndarray:
     """Per-year adjustment outlay along a trajectory (zero in year 0)."""
-    return quad_cubic(traj.deltas(), *p.gamma_split(), p.eta_array())[0].sum(axis=1)
+    return quad_cubic(traj.deltas(), *quad_cubic_args(p))[0].sum(axis=1)
 
 
 def effective_expenditure(traj: Trajectory, p: RigidityParams) -> np.ndarray:
@@ -179,7 +179,7 @@ def savings_series(path: Sequence[float], spec: BreakEvenSpec) -> SavingsSeries:
     gross = spec.adjustable_base - arr
     steps = np.zeros_like(arr)
     steps[1:] = np.diff(arr)
-    outlay = quad_cubic(steps, *spec.gamma_split(), spec.eta)[0]
+    outlay = quad_cubic(steps, *quad_cubic_args(spec))[0]
     net = gross - outlay
     cumulative = np.cumsum(net)
 

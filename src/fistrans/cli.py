@@ -28,9 +28,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analytics import JShapeVerdict, baseline_gap, equal_step_path, jshape_condition, savings_series
+from .analytics import JShapeVerdict, equal_step_path, jshape_condition, savings_series
 from .calibration import DEFAULT_PRESET_NAME, load_default_preset
-from .costs import adjustment_cost, stage_cost
+from .costs import quad_allocation, quad_allocation_args, quad_cubic, quad_cubic_args
 from .planner import SolveReport, SolverConfig, gradualism_metric
 from .scenario_io import (
     RunReport,
@@ -189,12 +189,12 @@ def _cmd_scenario_table(args: argparse.Namespace) -> int:
 def _cmd_jshape(args: argparse.Namespace) -> int:
     scenario, preset, overrides = _load(args)
     report = build_report(scenario, config=_solver_config(args), preset=preset, overrides=overrides)
-    long_run = ExpenditureVector.from_array(report.solve.anchor)
     # The rise condition weighs the outlay of the intended reallocation,
-    # executed at reform start, against the recurring long-run cost gain.
-    intended = adjustment_cost(baseline_gap(long_run, scenario.baseline), scenario.rigidity).value
-    c_x0 = stage_cost(scenario.baseline, scenario.cost).value
-    c_star = stage_cost(long_run, scenario.cost).value
+    # executed at reform start, against the recurring long-run cost gain. The
+    # long-run anchor may leave the nonnegative allocations, so it stays an array.
+    x0, anchor = scenario.baseline.as_array(), report.solve.anchor
+    intended = float(np.sum(quad_cubic(anchor - x0, *quad_cubic_args(scenario.rigidity))[0]))
+    c_x0, c_star = quad_allocation(np.array([x0, anchor]), *quad_allocation_args(scenario.cost))[0].tolist()
     holds = jshape_condition(intended, c_x0, c_star)
     solved_first = float(report.g_eff[1] - report.solve.trajectory.totals()[1])
     print(f"scenario: {scenario.name}")

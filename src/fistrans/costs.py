@@ -12,7 +12,9 @@ quadratic penalty on total spending, so its Hessian is constant. Both are
 convex and continuously differentiable, including at zero change: d|d|
 has derivative 2|d|, so the cubic term is smooth there with zero slope.
 Each cost has one kernel over stacked arrays, ``quad_cubic`` and
-``quad_allocation``; the other evaluators here and the planner call them.
+``quad_allocation``, which the other modules call with the arguments that
+``quad_cubic_args`` lays out from a rigidity block and
+``quad_allocation_args`` from a cost spec; no other module builds them.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .types import (
+    BreakEvenSpec,
     DeltaVector,
     ExpenditureVector,
     FiscalCostSpec,
@@ -40,6 +43,8 @@ __all__ = [
     "quad_cubic",
     "quad_allocation",
     "quad_allocation_hessian",
+    "quad_cubic_args",
+    "quad_allocation_args",
 ]
 
 
@@ -60,7 +65,7 @@ class CostEval:
 def quad_cubic(d, kink, skew, eta):
     """Elementwise value gamma/2 * d^2 + eta/3 * |d|^3, marginal (gamma + eta * |d|) * d
     and curvature gamma + 2 * eta * |d|, with gamma = kink + skew * sign(d): given
-    a rigidity's ``gamma_split()``, gamma_up for d > 0, gamma_down for d < 0 and
+    a rigidity's ``quad_cubic_args``, gamma_up for d > 0, gamma_down for d < 0 and
     their mean, the kink, at d = 0. The parameters broadcast against d; a caller
     that evaluates many points of one shape saves work by passing them at it."""
     d = np.asarray(d, dtype=float)
@@ -94,9 +99,24 @@ def quad_allocation_hessian(weights, total_weight) -> np.ndarray:
     return np.diag(weights) + total_weight
 
 
+def quad_cubic_args(rigidity: RigidityParams | BreakEvenSpec) -> tuple:
+    """The ``quad_cubic`` arguments (kink, skew, eta) of a rigidity block, per
+    category or one number each for a ``BreakEvenSpec``: gamma_up = kink + skew and
+    gamma_down = kink - skew, so the skew is zero when symmetric. Each is a sum of
+    halves, so no finite curvature overflows."""
+    up, down = rigidity.gamma_pair()
+    half_up, half_down = 0.5 * up, 0.5 * down
+    return half_up + half_down, half_up - half_down, np.asarray(rigidity.eta, dtype=float)
+
+
+def quad_allocation_args(cost: FiscalCostSpec) -> tuple:
+    """The ``quad_allocation`` arguments (weights, target, total_weight, total_reference) of a cost spec."""
+    return np.array(cost.weights, dtype=float), cost.target.as_array(), cost.total_weight, cost.total_reference
+
+
 def adjustment_cost(d: DeltaVector, p: RigidityParams) -> CostEval:
     """Adjustment cost of a change vector, with its gradient, in either rigidity mode."""
-    value, grad, _ = quad_cubic(d.as_array(), *p.gamma_split(), p.eta_array())
+    value, grad, _ = quad_cubic(d.as_array(), *quad_cubic_args(p))
     return CostEval(float(np.sum(value)), grad)
 
 
@@ -120,8 +140,7 @@ def phi_asymmetric(d: DeltaVector, p: RigidityParams) -> CostEval:
 
 def stage_cost(x: ExpenditureVector, spec: FiscalCostSpec) -> CostEval:
     """Per-period allocation cost of one allocation, with its gradient (see ``quad_allocation``)."""
-    args = (spec.weights_array(), spec.target.as_array(), spec.total_weight, spec.total_reference)
-    return CostEval(*quad_allocation(x.as_array(), *args))
+    return CostEval(*quad_allocation(x.as_array(), *quad_allocation_args(spec)))
 
 
 def gradient_check(

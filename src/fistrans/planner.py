@@ -26,12 +26,13 @@ no limit term is computed. With limits, until every complementarity has
 settled, the first back-solve is Mehrotra's affine-scaling predictor, the
 step from the objective's own gradient, and the second its corrector; a
 plain centred step replaces the corrector where it does not descend, and
-is the only step once they have settled. A category frozen at (0, 0) has
-no interior and is pinned to its baseline by identity rows. LAPACK comes
-from scipy's compiled extension alone, loaded at the first solve through
-``_lapack``: code that never solves imports no scipy, and a solve imports
-scipy's top-level package and that extension, not the ``scipy.linalg``
-package.
+is the only step once they have settled. A Newton system that does not
+factorise or is not finite, band or right-hand side, stops the loop as
+``singular``. A category frozen at (0, 0) has no interior and is pinned to
+its baseline by identity rows. LAPACK comes from scipy's compiled
+extension alone, loaded at the first solve through ``_lapack``: code that
+never solves imports no scipy, and a solve imports scipy's top-level
+package and that extension, not the ``scipy.linalg`` package.
 
 A step's arithmetic is laid out for few numpy calls: on (T, 4) arrays at
 the horizons of a reform comparison, dispatch, not arithmetic, sets its
@@ -67,7 +68,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .costs import quad_allocation, quad_allocation_hessian, quad_cubic
+from .costs import quad_allocation, quad_allocation_args, quad_allocation_hessian, quad_cubic, quad_cubic_args
 from .types import (
     N_CATEGORIES,
     ExpenditureVector,
@@ -139,10 +140,10 @@ class SolveReport:
     with complementarity within the gradient tolerance. ``termination``
     then reads ``converged``; otherwise it says why the loop stopped:
     ``budget_exhausted``, ``line_search_stalled`` (no descent direction or
-    no accepted step), ``singular`` (the band did not factorise, or was not
-    finite) or ``roundoff_floor`` (at floating-point resolution). ``anchor``
-    is the long-run allocation, the minimum of C, toward which the terminal
-    term pulls x_T.
+    no accepted step), ``singular`` (the Newton system did not factorise, or
+    its band or right-hand side was not finite) or ``roundoff_floor`` (at
+    floating-point resolution). ``anchor`` is the long-run allocation, the
+    minimum of C, toward which the terminal term pulls x_T.
     """
 
     converged: bool
@@ -158,23 +159,19 @@ class SolveReport:
 
 class _Problem:
     """Arrays and callables for one scenario solve. C and Phi enter only through
-    their ``costs`` kernels; ``allocation`` and ``adjustment`` hold the arguments,
-    each laid out at the shape (T, 4) of the allocations so that no operation of
-    a step broadcasts. The band's buffers, which only a solve needs, are built
-    on first use."""
+    their ``costs`` kernels; ``allocation`` and ``adjustment`` hold the arguments
+    that ``costs`` lays out, each repeated to the shape (T, 4) of the allocations
+    so that no operation of a step broadcasts. The band's buffers, which only a
+    solve needs, are built on first use."""
 
     def __init__(self, scenario: Scenario, config: SolverConfig):
-        self.scenario = scenario
         self.config = config
         self.x0 = scenario.baseline.as_array()
         T = self.T = scenario.horizon
         beta = self.beta = scenario.beta
         self.disc = beta ** np.arange(1, T + 1)
-        cost, rigidity = scenario.cost, scenario.rigidity
-        weights, target = cost.weights_array(), cost.target.as_array()
-        allocation = (weights, target, cost.total_weight, cost.total_reference)
-        self.hess = quad_allocation_hessian(weights, cost.total_weight)
-        self.anchor = _minimizer(self.hess, allocation)
+        allocation = quad_allocation_args(scenario.cost)
+        self.hess, self.anchor = _minimizer(allocation)
         self.anchor.flags.writeable = False  # the report hands it out
         self.value0 = float(quad_allocation(self.x0, *allocation)[0])
         self.wT = config.terminal_weight
@@ -190,13 +187,12 @@ class _Problem:
         has = np.isfinite(self.limits[:, 0]) & self.free
         self.n_limits = T * np.count_nonzero(has)
         # Every per-category parameter, repeated over the dates.
-        kink, skew = rigidity.gamma_split()
-        per_category = [kink, skew, rigidity.eta_array(), weights, target, np.diagonal(self.hess)]
+        per_category = [*quad_cubic_args(scenario.rigidity), *allocation[:2], np.diagonal(self.hess)]
         per_category += [-np.sqrt(beta) * self.free, *has, *(self.sign[:, 0] * has)]
         grid = np.empty((len(per_category), T, N_CATEGORIES))
         grid[:] = np.array(per_category, dtype=float)[:, None, :]
         self.adjustment = (grid[0], grid[1], grid[2])
-        self.allocation = (grid[3], grid[4], cost.total_weight, cost.total_reference)
+        self.allocation = (grid[3], grid[4], *allocation[2:])
         self.base, self.coupling = grid[5], grid[6]
         self.has, self.orient = grid[7:9], grid[9:11]
         # Every per-date factor, repeated over the categories (and limits): the
@@ -251,10 +247,6 @@ class _Problem:
         m += residual
         return m
 
-    def kkt(self, residual: np.ndarray, slack: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Absolute residuals with the limits' multipliers z, and each limit's complementarity."""
-        return np.abs(self.with_multipliers(residual, z)), slack * np.minimum(z, 1.0)
-
     def log_barrier(self, mu: np.ndarray, slack: np.ndarray) -> float:
         """Discounted sum of mu * log(slack) over dates and limits."""
         return float(np.vdot(self.disc_pair, mu * np.log(slack)))
@@ -277,11 +269,12 @@ class _Problem:
         return flat
 
 
-def _minimizer(hess: np.ndarray, allocation: tuple) -> np.ndarray:
-    """The minimum of C, from its Hessian and the ``quad_allocation`` arguments (see ``stage_cost_minimizer``)."""
-    target = allocation[1]
+def _minimizer(allocation: tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """C's Hessian and minimum, from the ``quad_allocation`` arguments (see ``stage_cost_minimizer``)."""
+    weights, target, total_weight, _ = allocation
+    hess = quad_allocation_hessian(weights, total_weight)
     z, *_ = np.linalg.lstsq(hess, -quad_allocation(target, *allocation)[1], rcond=None)
-    return target + z
+    return hess, target + z
 
 
 def stage_cost_minimizer(scenario: Scenario) -> np.ndarray:
@@ -292,10 +285,7 @@ def stage_cost_minimizer(scenario: Scenario) -> np.ndarray:
     degenerate weights. Equals the plain target whenever the total penalty is
     inactive or the reference matches the target's total.
     """
-    cost = scenario.cost
-    weights = cost.weights_array()
-    allocation = (weights, cost.target.as_array(), cost.total_weight, cost.total_reference)
-    return _minimizer(quad_allocation_hessian(weights, cost.total_weight), allocation)
+    return _minimizer(quad_allocation_args(scenario.cost))[1]
 
 
 def _initial_allocations(problem: _Problem) -> np.ndarray:
@@ -395,9 +385,9 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
     """Damped Newton / interior-point loop from the first guess: the last path
     x_0..x_T, the multipliers, the objective history, why it stopped, and the
     last path's ``evaluate``."""
-    # A step to the boundary divides by the steps that are not negative, and a
-    # multiplier's z / s can overflow late in a degenerate solve, when the band
-    # is no longer finite and the loop stops as singular. Neither is a warning.
+    # A step to the boundary divides by the steps that are not negative. An
+    # evaluation, or a multiplier's z / s late in a degenerate solve, can
+    # overflow; the loop then stops as singular. None of this is a warning.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cfg = problem.config
         has, root, neg_root, n_limits = problem.has, problem.root, problem.neg_root, problem.n_limits
@@ -439,49 +429,49 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
                 curv = curv + z_over_s[0] + z_over_s[1]
             try:
                 back_solve = _factorise(problem.band(curv))
+                if not n_limits:
+                    # The Newton step of the objective, the only back-solve, from
+                    # minus the scaled gradient.
+                    descent = neg_root * residual
+                    step = back_solve(descent)
+                    slope = -float(np.vdot(descent, step))
+                else:
+                    # Each limit's barrier target is floored so that its
+                    # complementarity settles at half of _COMP_TOL instead of driving
+                    # its slack into roundoff, where z / s would swamp the band. Once
+                    # every complementarity has settled only the floors are left, and
+                    # there is no correction.
+                    floor = _COMP_FLOOR * np.maximum(z, 1.0)
+                    if settled:
+                        target, correction = has * floor, None
+                    else:
+                        # Mehrotra's predictor-corrector. The predictor, the step from
+                        # the objective's own gradient (barrier target 0), sets the
+                        # centring sigma = (mu_aff / mu)^3; the corrector subtracts its
+                        # second-order term ds * dz from each limit's floored target
+                        # sigma * mu.
+                        np.divide(back_solve(neg_root * residual), root, out=dx)
+                        _limit_steps(problem, dpath, z, z_over_s, 0.0, dsz)
+                        affine = sz + np.array(_step_to_boundary(sz, dsz))[:, None, None, None] * dsz
+                        mu = float(np.vdot(s, z)) / n_limits
+                        sigma = (float(np.vdot(affine[0], affine[1])) / n_limits / mu) ** 3
+                        target = has * np.maximum(sigma * mu, floor)
+                        correction = ds * dz / s
+                    # The line search's merit is the barrier at the floored targets,
+                    # and its gradient judges descent. The plain centred step is taken
+                    # where there is no corrector or it does not descend.
+                    mu_over_s = target / s
+                    grad = root * problem.with_multipliers(residual, mu_over_s)
+                    slope = 0.0
+                    if correction is not None:
+                        target_over_s = mu_over_s - correction
+                        step = back_solve(neg_root * problem.with_multipliers(residual, target_over_s))
+                        slope = float(np.vdot(grad, step))
+                    if not slope < 0.0:
+                        target_over_s, step = mu_over_s, back_solve(-grad)
+                        slope = float(np.vdot(grad, step))
             except (np.linalg.LinAlgError, ValueError):  # not positive definite, or not finite
                 return path, z, history, "singular", evaluation
-            if not n_limits:
-                # The Newton step of the objective, the only back-solve, from
-                # minus the scaled gradient.
-                descent = neg_root * residual
-                step = back_solve(descent)
-                slope = -float(np.vdot(descent, step))
-            else:
-                # Each limit's barrier target is floored so that its
-                # complementarity settles at half of _COMP_TOL instead of driving
-                # its slack into roundoff, where z / s would swamp the band. Once
-                # every complementarity has settled only the floors are left, and
-                # there is no correction.
-                floor = _COMP_FLOOR * np.maximum(z, 1.0)
-                if settled:
-                    target, correction = has * floor, None
-                else:
-                    # Mehrotra's predictor-corrector. The predictor, the step from
-                    # the objective's own gradient (barrier target 0), sets the
-                    # centring sigma = (mu_aff / mu)^3; the corrector subtracts its
-                    # second-order term ds * dz from each limit's floored target
-                    # sigma * mu.
-                    np.divide(back_solve(neg_root * residual), root, out=dx)
-                    _limit_steps(problem, dpath, z, z_over_s, 0.0, dsz)
-                    affine = sz + np.array(_step_to_boundary(sz, dsz))[:, None, None, None] * dsz
-                    mu = float(np.vdot(s, z)) / n_limits
-                    sigma = (float(np.vdot(affine[0], affine[1])) / n_limits / mu) ** 3
-                    target = has * np.maximum(sigma * mu, floor)
-                    correction = ds * dz / s
-                # The line search's merit is the barrier at the floored targets,
-                # and its gradient judges descent. The plain centred step is taken
-                # where there is no corrector or it does not descend.
-                mu_over_s = target / s
-                grad = root * problem.with_multipliers(residual, mu_over_s)
-                slope = 0.0
-                if correction is not None:
-                    target_over_s = mu_over_s - correction
-                    step = back_solve(neg_root * problem.with_multipliers(residual, target_over_s))
-                    slope = float(np.vdot(grad, step))
-                if not slope < 0.0:
-                    target_over_s, step = mu_over_s, back_solve(-grad)
-                    slope = float(np.vdot(grad, step))
             if not slope < 0.0:
                 return path, z, history, "line_search_stalled", evaluation
             np.divide(step, root, out=dx)
@@ -531,7 +521,7 @@ def _certify(
     ``evaluation`` of the path is reused unless ``Trajectory`` moved it
     (it lifts roundoff below zero to zero).
 
-    A band that is not finite can stop the loop at allocations below zero,
+    A Newton system that is not finite can stop the loop below zero,
     which no trajectory holds; that report names the stop, with the path
     lifted to zero, instead of failing as if the input were invalid."""
     # What an overflow in a degenerate loop leaves is reported, not warned of.
@@ -540,11 +530,11 @@ def _certify(
         if evaluation is None or not np.array_equal(trajectory.values, path):
             evaluation = problem.evaluate(trajectory.values)
         objective, residual, _ = evaluation
-        # Each limit's slack, negative where the limit is violated.
+        # Each limit's slack, negative where the limit is violated; |slack| * min(z, 1) is its complementarity.
         values = trajectory.values
         gap = problem.sign * (values[1:] - values[:-1] - problem.limits)
-        slack = np.abs(np.where(problem.has, gap, 0.0))
-        residuals, comp = problem.kkt(residual, slack, z)
+        comp = np.abs(np.where(problem.has, gap, 0.0)) * np.minimum(z, 1.0)
+        residuals = np.abs(problem.with_multipliers(residual, z))
         grad_norm = float(np.max(residuals))
         max_residual = float(np.max(residuals[:-1])) if problem.T >= 2 else 0.0
         violation = max(0.0, float(np.max(-gap)))

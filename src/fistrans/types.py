@@ -187,13 +187,6 @@ class _Rigidity:
         gamma = self._pair(self.gamma)
         return gamma, gamma
 
-    def gamma_split(self) -> tuple:
-        """The quadratic curvatures as (kink, skew), their mean and half-difference:
-        gamma_up = kink + skew and gamma_down = kink - skew. The kink is the
-        curvature at zero change; skew is zero when symmetric."""
-        up, down = self.gamma_pair()
-        return 0.5 * (up + down), 0.5 * (up - down)
-
 
 @dataclass(frozen=True)
 class RigidityParams(_Rigidity):
@@ -212,9 +205,6 @@ class RigidityParams(_Rigidity):
 
     _curvature = staticmethod(_float4)
     _pair = staticmethod(np.array)
-
-    def eta_array(self) -> np.ndarray:
-        return np.array(self.eta, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -239,9 +229,6 @@ class FiscalCostSpec:
             raise ValidationError("cost spec needs at least one strictly positive weight")
         ref = self.target.total if self.total_reference is None else self.total_reference
         object.__setattr__(self, "total_reference", _check(ref, "total_reference"))
-
-    def weights_array(self) -> np.ndarray:
-        return np.array(self.weights, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)

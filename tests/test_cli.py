@@ -243,8 +243,22 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
 def test_jshape_reports_rise_then_fall(capsys):
     assert run_cli(["jshape", "--preset", "paper-default"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "outlay_exceeds_gain: True" in out
+    assert out.splitlines()[1:5] == [
+        "intended_reallocation_outlay: 363.7116",
+        "solved_first_year_outlay: 6.8857",
+        "long_run_cost_gain: 12.1500",
+        "outlay_exceeds_gain: True",
+    ]
     assert re.search(r"j_shaped: True \(peak year [123],", out)
+
+
+def test_jshape_takes_a_long_run_anchor_below_zero(capsys):
+    # A zero total reference puts the anchor at (20, -2, -2, 4), which is no
+    # allocation; the limits keep the path itself nonnegative, and it converges.
+    path = Path(__file__).resolve().parent / "negative_anchor.scn"
+    assert run_cli(["jshape", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "intended_reallocation_outlay: 20402.2167" in out and "long_run_cost_gain: 1011.2500" in out
 
 
 def test_scenario_table_needs_the_built_in_catalog(capsys):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from fistrans import (
+    BreakEvenSpec,
     DeltaVector,
     ExpenditureVector,
     FiscalCostSpec,
@@ -12,7 +15,7 @@ from fistrans import (
     phi_asymmetric,
     stage_cost,
 )
-from fistrans.costs import quad_allocation, quad_allocation_hessian
+from fistrans.costs import quad_allocation, quad_allocation_args, quad_allocation_hessian, quad_cubic_args
 
 from helpers import TABLE_ETA, TABLE_GAMMA, TARGETS
 
@@ -142,20 +145,40 @@ def test_stage_cost_total_on_reference():
 
 def test_allocation_kernel_stacks_stage_cost_with_a_constant_hessian():
     spec = FiscalCostSpec(target=TARGETS, weights=(1, 0.5, 2, 0.25), total_weight=0.3, total_reference=97.0)
-    args = (spec.weights_array(), spec.target.as_array(), spec.total_weight, spec.total_reference)
+    args = quad_allocation_args(spec)
     x = np.random.default_rng(29).uniform(0.0, 50.0, (30, 4))
     values, grads = quad_allocation(x, *args)
     for row, value, grad in zip(x, values, grads):
         ev = stage_cost(ExpenditureVector.from_array(row), spec)
         assert value == ev.value
         assert np.array_equal(grad, ev.gradient)
-    hess = quad_allocation_hessian(spec.weights_array(), spec.total_weight)
+    hess = quad_allocation_hessian(args[0], args[2])
     h = 1e-3
     for point in x[:5]:
         bumps = h * np.eye(4)
         fd = (quad_allocation(point + bumps, *args)[1] - quad_allocation(point - bumps, *args)[1]) / (2.0 * h)
         # Row j of fd is the gradient's change along category j, column j of the Hessian.
         assert np.allclose(fd.T, hess, rtol=0.0, atol=1e-8)
+
+
+def test_a_symmetric_block_gives_its_gamma_as_kink_and_no_skew():
+    # Up to a curvature whose double would overflow.
+    gamma = (4.0, 0.1, 0.0, 1.5e308)
+    kink, skew, eta = quad_cubic_args(RigidityParams(gamma=gamma, eta=TABLE_ETA))
+    assert kink.tobytes() == np.array(gamma).tobytes()
+    assert skew.tobytes() == np.zeros(4).tobytes()
+    assert eta.tobytes() == np.array(TABLE_ETA).tobytes()
+    kink, skew, eta = quad_cubic_args(BreakEvenSpec(reduction_fraction=0.1, target_years=3, gamma=0.1, eta=0.05))
+    assert (kink, skew, eta) == (0.1, 0.0, 0.05) and math.copysign(1.0, skew) == 1.0
+
+
+def test_kink_and_skew_give_back_both_curvatures():
+    up, down = (1.5, 0.25, 3.0, 0.0), (2.25, 0.75, 0.5, 1.0)
+    kink, skew, _ = quad_cubic_args(RigidityParams(gamma_up=up, gamma_down=down))
+    assert np.array_equal(kink + skew, up) and np.array_equal(kink - skew, down)
+    spec = BreakEvenSpec(reduction_fraction=0.1, target_years=3, gamma_up=0.75, gamma_down=1.25, eta=0.05)
+    kink, skew, _ = quad_cubic_args(spec)
+    assert (kink + skew, kink - skew) == (0.75, 1.25)
 
 
 def test_gradient_check_phi_at_mixed_point():

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.machinery
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -544,6 +545,11 @@ def test_stage_cost_minimizer_closed_form():
     assert anchor.sum() == pytest.approx(97.0 + shift, abs=1e-12)
 
 
+@pytest.mark.parametrize("scen", [preset_scenario(50), random_scenario(np.random.default_rng(7), with_bounds=True)])
+def test_stage_cost_minimizer_is_the_solves_anchor(scen):
+    assert stage_cost_minimizer(scen).tobytes() == solve(scen).anchor.tobytes()
+
+
 def test_horizon_past_the_float_range_of_the_discount_is_rejected():
     # beta^(T/2) is about 1e-301 at T = 2000 and below the smallest normal
     # float at T = 2200, where the scaled Newton system cannot hold the late dates.
@@ -655,13 +661,42 @@ def _overflowing_scenarios():
     )
     # A cubic curvature near the float range overflows the first guess's band.
     stiff_cubic = RigidityParams(gamma=preset.rigidity.gamma, eta=(1e308,) * 4)
-    return [degenerate, dataclasses.replace(preset, rigidity=stiff_cubic, horizon=5)]
+
+    def corner(scale, gamma, eta, beta, horizon, bounds):
+        # The preset with target and total reference scaled, and one gamma and eta for all.
+        cost = dataclasses.replace(
+            preset.cost,
+            target=ExpenditureVector.from_array(scale * preset.cost.target.as_array()),
+            total_reference=scale * preset.cost.total_reference,
+        )
+        rigidity = RigidityParams(gamma=(gamma,) * 4, eta=(eta,) * 4)
+        return dataclasses.replace(preset, cost=cost, rigidity=rigidity, beta=beta, horizon=horizon, delta_bounds=bounds)
+
+    # The rest keep the band finite, but a cost overflows, so the right-hand
+    # side of a back-solve is not: at the first guess (the file's case, where
+    # eta * d^2 overflows, and the next two) or after one or sixteen steps.
+    overflow = parse_scenario((Path(__file__).resolve().parent / "overflow_singular.scn").read_text(encoding="utf-8"))
+    mixed = degenerate.delta_bounds
+    return [
+        degenerate,
+        dataclasses.replace(preset, rigidity=stiff_cubic, horizon=5),
+        overflow,
+        corner(1e6, 1.0, 1e300, 0.96, 10, None),
+        corner(1e150, 1e300, 0.0, 0.5, 2, None),
+        corner(1e150, 1.0, 1.0, 0.96, 2, mixed),
+        corner(1e150, 1e300, 0.0, 0.5, 10, mixed),
+    ]
 
 
-@pytest.mark.parametrize("scen", _overflowing_scenarios(), ids=["degenerate-mixed-T1000", "stiff-cubic"])
+@pytest.mark.parametrize(
+    "scen",
+    _overflowing_scenarios(),
+    ids=["degenerate-mixed-T1000", "stiff-cubic", "rhs-file", "rhs-cubic", "rhs-quadratic", "rhs-mixed", "rhs-stiff-mixed"],
+)
 def test_a_band_that_overflows_is_a_singular_stop(scen):
-    # The band is then not finite, which stops the loop; the path is reported
-    # lifted to zero where it wandered below it, and nothing warns.
+    # The band or a right-hand side is then not finite, which stops the loop;
+    # the path is reported lifted to zero where it wandered below it, and
+    # nothing warns.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = solve(scen)
