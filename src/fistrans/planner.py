@@ -592,15 +592,16 @@ def euler_residuals(traj: Trajectory, scenario: Scenario) -> np.ndarray:
     return problem.evaluate(traj.values)[1][:-1]
 
 
-def gradualism_metric(traj: Trajectory, x_star: ExpenditureVector) -> float:
+def gradualism_metric(traj: Trajectory, x_star: ExpenditureVector | np.ndarray) -> float:
     """Fraction of the reform gap closed in the first year (Euclidean norms).
 
-    Strictly below one whenever quadratic adjustment curvature makes
-    spreading the reallocation across years worthwhile.
+    ``x_star`` may be an array, such as a long-run anchor below zero. Strictly
+    below one whenever quadratic adjustment curvature makes spreading the
+    reallocation across years worthwhile.
     """
-    x0 = traj.values[0]
-    x1 = traj.values[1]
-    gap = np.linalg.norm(x_star.as_array() - x0)
+    x0, x1 = traj.values[:2]
+    target = x_star.as_array() if isinstance(x_star, ExpenditureVector) else np.asarray(x_star, dtype=float)
+    gap = np.linalg.norm(target - x0)
     if gap == 0.0:
         raise ValidationError("gradualism metric undefined: baseline already equals the target")
     return float(np.linalg.norm(x1 - x0) / gap)

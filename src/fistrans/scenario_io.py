@@ -36,7 +36,6 @@ from .analytics import (
     JShapeVerdict,
     SavingsSeries,
     adjustment_series,
-    effective_expenditure,
     equal_step_path,
     jshape_classify,
     savings_series,
@@ -100,6 +99,7 @@ class RunReport:
     jshape: JShapeVerdict
     savings: Optional[SavingsSeries]
     provenance: Tuple[Tuple[str, str], ...]
+    outlay: np.ndarray  # each year's adjustment outlay, the CSV's phi; g_eff adds it to the totals
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +394,15 @@ def build_report(
     preset: str = DEFAULT_PRESET_NAME,
     overrides: Tuple[str, ...] = (),
 ) -> RunReport:
-    """Solve a scenario and bundle the derived series into a report."""
+    """Solve a scenario and derive every reported series from it, once. A
+    ``g_eff`` the shape classifier rejects (shorter than three years, or not
+    finite after a stopped solve) gets the trivial verdict: no rise, peak at 0."""
     report = solve(scenario, config)
-    g_eff = effective_expenditure(report.trajectory, scenario.rigidity)
-    if g_eff.size >= 3:
+    outlay = adjustment_series(report.trajectory, scenario.rigidity)
+    g_eff = report.trajectory.totals() + outlay
+    try:
         verdict = jshape_classify(g_eff)
-    else:
-        # Too short to exhibit rise-then-fall; report the trivial verdict.
+    except ValidationError:
         verdict = JShapeVerdict(False, 0, float(g_eff[0]), float(g_eff[-1]))
     savings = None
     if scenario.breakeven is not None:
@@ -410,7 +412,7 @@ def build_report(
         ("preset", preset),
         ("overrides", ",".join(overrides) if overrides else "none"),
     )
-    return RunReport(scenario, report, g_eff, verdict, savings, provenance)
+    return RunReport(scenario, report, g_eff, verdict, savings, provenance, outlay)
 
 
 def emit_trajectory_csv(report: RunReport) -> str:
@@ -421,8 +423,7 @@ def emit_trajectory_csv(report: RunReport) -> str:
     from below prints as ``0.000000``.
     """
     traj, savings = report.solve.trajectory, report.savings
-    phi_series = adjustment_series(traj, report.scenario.rigidity)
-    table = np.column_stack([traj.values, traj.totals(), phi_series, report.g_eff]).tolist()
+    table = np.column_stack([traj.values, traj.totals(), report.outlay, report.g_eff]).tolist()
     if savings is not None:
         for row, saved in zip(table, np.column_stack([savings.gross, savings.net, savings.cumulative]).tolist()):
             row += saved

@@ -2,17 +2,22 @@ import ast
 import dataclasses
 import importlib
 import re
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fistrans
-from fistrans import ExpenditureVector, load_default_preset, serialize_scenario
+from fistrans import ExpenditureVector, build_report, gradualism_metric, load_default_preset, parse_scenario, serialize_scenario
 from fistrans.cli import EXIT_INVALID, EXIT_NOT_CONVERGED, EXIT_OK, _build_parser, run_cli
+from fistrans.scenario_io import read_scenario_file
 
 from helpers import fresh_python
 
-REPO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+TESTS = Path(__file__).resolve().parent
+REPO_SCENARIOS = TESTS.parent / "demos" / "scenarios"
+SCENARIO_FILES = sorted([*TESTS.glob("*.scn"), *(TESTS / "golden").glob("*.scn"), *REPO_SCENARIOS.glob("*.scn")])
 
 
 @pytest.fixture
@@ -259,6 +264,42 @@ def test_jshape_takes_a_long_run_anchor_below_zero(capsys):
     assert run_cli(["jshape", str(path)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "intended_reallocation_outlay: 20402.2167" in out and "long_run_cost_gain: 1011.2500" in out
+
+
+def test_simulate_reports_the_gap_closure_to_an_anchor_below_zero(capsys):
+    path = TESTS / "negative_anchor.scn"
+    assert run_cli(["simulate", str(path)]) == EXIT_OK
+    report = build_report(parse_scenario(read_scenario_file(path))).solve
+    assert report.anchor.min() < 0.0
+    closure = gradualism_metric(report.trajectory, report.anchor)
+    assert f"first_year_gap_closure: {closure:.4f}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "jshape"])
+@pytest.mark.parametrize("name", ["overflow_singular.scn", "overflow_singular_t3.scn"])
+def test_a_singular_stop_whose_costs_overflow_exits_two_without_warning(capsys, name, command):
+    # eta * d^2 overflows at the first guess: the solve stops as singular,
+    # and the outlay it leaves is printed as inf, at any horizon.
+    argv = [command, str(TESTS / name), *(["--out", "-"] if command == "simulate" else [])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv) == EXIT_NOT_CONVERGED
+    captured = capsys.readouterr()
+    assert captured.err.startswith("solver did not converge: singular after 0 iterations")
+    if command == "simulate" and name == "overflow_singular.scn":
+        row1 = captured.out.splitlines()[-1].split(",")
+        assert [row1[0], row1[6], row1[7]] == ["1", "inf", "inf"]
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: str(p.relative_to(TESTS.parent)))
+def test_every_committed_scenario_exits_as_its_solve_ends(capsys, path):
+    with np.errstate(over="ignore", invalid="ignore"):
+        converged = build_report(parse_scenario(read_scenario_file(path))).solve.converged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = [run_cli(["simulate", str(path), "--out", "-"]), run_cli(["jshape", str(path)])]
+    want = EXIT_OK if converged else EXIT_NOT_CONVERGED
+    assert codes == [want, want]
 
 
 def test_scenario_table_needs_the_built_in_catalog(capsys):

@@ -184,6 +184,13 @@ def test_gradualism_metric_scalar_half_step():
     assert metric == pytest.approx(0.5, abs=1e-8)
 
 
+def test_gradualism_metric_takes_an_allocation_or_its_array_alike():
+    scen = load_default_preset().scenario()
+    traj = solve(scen).trajectory
+    target = scen.cost.target
+    assert gradualism_metric(traj, target) == gradualism_metric(traj, target.as_array())
+
+
 def test_gradualism_metric_rejects_zero_gap():
     traj = Trajectory(np.tile(BASELINE.as_array(), (3, 1)))
     with pytest.raises(ValidationError):

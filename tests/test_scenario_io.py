@@ -15,8 +15,10 @@ from fistrans import (
     parse_scenario_info,
     serialize_scenario,
 )
-from fistrans import scenario_io
-from fistrans.scenario_io import build_report, emit_trajectory_csv, load_preset_scenario
+from fistrans import analytics, scenario_io
+from fistrans.analytics import adjustment_series, effective_expenditure
+from fistrans.cli import run_cli
+from fistrans.scenario_io import build_report, emit_trajectory_csv, load_preset_scenario, read_scenario_file
 
 from helpers import random_scenario
 
@@ -387,6 +389,34 @@ def test_csv_savings_row_five_matches_pipeline_at_six_decimals():
     assert row5[-3] == "10.000000"
     # Beyond the savings window the cells are empty again.
     assert lines[8].split(",")[-1] == ""
+
+
+@pytest.mark.parametrize(
+    "path",
+    [None, REPO / "demos" / "scenarios" / "admin_savings_a.scn", REPO / "tests" / "golden" / "asymmetric_variant.scn"],
+    ids=["paper-default", "admin_savings_a", "asymmetric_variant"],
+)
+def test_the_report_owns_the_outlay_and_keeps_g_eff_bits(path):
+    scen = load_preset_scenario("paper-default") if path is None else parse_scenario(read_scenario_file(path))
+    report = build_report(scen)
+    traj = report.solve.trajectory
+    assert report.outlay.tobytes() == adjustment_series(traj, scen.rigidity).tobytes()
+    assert report.g_eff.tobytes() == effective_expenditure(traj, scen.rigidity).tobytes()
+
+
+def test_simulate_evaluates_the_outlay_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return adjustment_series(*args)
+
+    # Both lookup sites, so an evaluation through effective_expenditure counts too.
+    monkeypatch.setattr(analytics, "adjustment_series", counted)
+    monkeypatch.setattr(scenario_io, "adjustment_series", counted)
+    assert run_cli(["simulate", "--out", "-"]) == 0
+    assert "t,T,W,I,F," in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_report_provenance_carries_tool_and_preset():
