@@ -16,15 +16,15 @@ preset = load_default_preset()
 print("cataloged scenarios (reduction target, rigidity regime -> timing):")
 print(f"  {'name':<5}{'rho':>5}{'H':>3}  {'regime':<8}{'t*':<5}{'cum net[0..5]':>14}")
 for row in preset.breakeven_catalog:
-    spec = row.spec()
+    spec = row.spec
     series = savings_series(equal_step_path(spec), spec)
     print(
-        f"  {row.name:<5}{row.reduction_fraction:>5.2f}{row.target_years:>3}  "
+        f"  {row.name:<5}{spec.reduction_fraction:>5.2f}{spec.target_years:>3}  "
         f"{row.regime:<8}{series.breakeven_label:<5}{series.windowed_cumulative:>14.2f}"
     )
 
 print("\nyear-by-year accounting for scenario B (medium rigidity):")
-spec = preset.breakeven_row("B").spec()
+spec = preset.breakeven_row("B").spec
 series = savings_series(equal_step_path(spec), spec)
 print(f"  {'t':>2} {'gross':>9} {'outlay':>9} {'net':>9} {'cumulative':>11}")
 for t in range(series.net.size):
@@ -50,7 +50,7 @@ for years in (2, 3, 5, 8):
 # savings accounting on its path.
 from fistrans import ExpenditureVector, FiscalCostSpec, RigidityParams, Scenario, solve
 
-spec = preset.breakeven_row("A").spec()
+spec = preset.breakeven_row("A").spec
 reduced = spec.adjustable_base * (1.0 - spec.reduction_fraction)
 one_category = Scenario(
     name="planner-path",

@@ -24,7 +24,6 @@ from .analytics import (
 from .calibration import (
     BreakEvenScenario,
     CalibrationPreset,
-    ReformScenario,
     asymmetric_variant,
     load_default_preset,
     rigidity_to_params,
@@ -77,7 +76,6 @@ __all__ = [
     "FiscalCostSpec",
     "JShapeVerdict",
     "ModeMismatchError",
-    "ReformScenario",
     "RigidityParams",
     "RunReport",
     "SavingsSeries",

@@ -3,9 +3,9 @@
 The shipped "paper-default" preset carries the baseline composition of
 public expenditure (shares of total, normalized to 100), the internal
 composition of each category, flexibility scores, the curvature parameters
-of the adjustment-cost function, illustrative long-run reform targets, and
-a catalog of administrative-savings scenarios spanning low/medium/high
-rigidity regimes.
+of the adjustment-cost function, an illustrative long-run reform target
+(the cost spec's ``target``), and a catalog of administrative-savings
+scenarios at low/medium/high rigidity, each row holding its ``BreakEvenSpec``.
 
 Flexibility scores map to curvature parameters by piecewise-linear
 interpolation through the four published (score, gamma, eta) anchor pairs,
@@ -33,7 +33,6 @@ from .types import (
 
 __all__ = [
     "BreakEvenScenario",
-    "ReformScenario",
     "CalibrationPreset",
     "load_default_preset",
     "rigidity_to_params",
@@ -55,46 +54,35 @@ ASYMMETRIC_DOWN_FACTOR = 1.5
 
 @dataclass(frozen=True)
 class BreakEvenScenario:
-    """One row of the administrative-savings scenario catalog."""
+    """One row of the administrative-savings catalog: name, rigidity regime, inputs."""
 
     name: str
     regime: str
-    reduction_fraction: float
-    target_years: int
-    gamma: float
-    eta: float
-
-    def spec(self, adjustable_base: float = 100.0, window: int = 5) -> BreakEvenSpec:
-        return BreakEvenSpec(
-            reduction_fraction=self.reduction_fraction,
-            target_years=self.target_years,
-            adjustable_base=adjustable_base,
-            window=window,
-            gamma=self.gamma,
-            eta=self.eta,
-        )
+    spec: BreakEvenSpec
 
 
-@dataclass(frozen=True)
-class ReformScenario:
-    """A qualitative reform strategy and the category it targets."""
-
-    name: str
-    instrument: str
-    category: Category
+# The catalog, built once: its specs are immutable, so every preset shares it.
+_BREAKEVEN_CATALOG = (
+    BreakEvenScenario("A", "low", BreakEvenSpec(0.10, 3, gamma=0.8, eta=0.05)),
+    BreakEvenScenario("B", "medium", BreakEvenSpec(0.10, 3, gamma=2.0, eta=0.15)),
+    BreakEvenScenario("C", "high", BreakEvenSpec(0.10, 3, gamma=4.0, eta=0.30)),
+    BreakEvenScenario("D", "low", BreakEvenSpec(0.20, 5, gamma=0.8, eta=0.05)),
+    BreakEvenScenario("E", "medium", BreakEvenSpec(0.20, 5, gamma=2.0, eta=0.15)),
+    BreakEvenScenario("F", "high", BreakEvenSpec(0.20, 5, gamma=4.0, eta=0.30)),
+)
 
 
 @dataclass(frozen=True)
 class CalibrationPreset:
-    """An immutable bundle of calibrated inputs and scenario catalogs.
+    """An immutable bundle of calibrated inputs and the savings catalog.
 
-    ``gdp_shares`` and ``internal_composition`` are annotations only; the
-    dynamics run on the four-category share vector.
+    The reform target is ``cost.target``. ``gdp_shares`` and
+    ``internal_composition`` are annotations only; the dynamics run on the
+    four-category share vector.
     """
 
     name: str
     baseline: ExpenditureVector
-    targets: ExpenditureVector
     flexibility: Tuple[float, float, float, float]
     rigidity: RigidityParams
     cost: FiscalCostSpec
@@ -103,13 +91,12 @@ class CalibrationPreset:
     gdp_shares: Tuple[float, float, float, float]
     internal_composition: Dict[Category, Tuple[Tuple[str, float], ...]]
     breakeven_catalog: Tuple[BreakEvenScenario, ...]
-    reform_catalog: Tuple[ReformScenario, ...]
 
     def __post_init__(self) -> None:
         if abs(self.baseline.total - 100.0) > 1e-9:
             raise ValidationError(f"baseline shares must sum to 100, got {self.baseline.total}")
-        if abs(self.targets.total - 100.0) > 1e-9:
-            raise ValidationError(f"target shares must sum to 100, got {self.targets.total}")
+        if abs(self.cost.target.total - 100.0) > 1e-9:
+            raise ValidationError(f"target shares must sum to 100, got {self.cost.target.total}")
         for cat, parts in self.internal_composition.items():
             s = sum(share for _, share in parts)
             if abs(s - 100.0) > 1e-9:
@@ -135,7 +122,7 @@ class CalibrationPreset:
 
 
 def load_default_preset() -> CalibrationPreset:
-    """The shipped calibration: baseline shares, rigidity, targets, catalogs.
+    """The shipped calibration: baseline shares, rigidity, target, catalog.
 
     The allocation-cost weights are a deliberate convention: equal category
     weights with a total-spending penalty anchored below the baseline total,
@@ -144,11 +131,10 @@ def load_default_preset() -> CalibrationPreset:
     before settling below its starting level.
     """
     baseline = ExpenditureVector(46.0, 21.0, 12.0, 21.0)
-    targets = ExpenditureVector(40.0, 18.0, 18.0, 24.0)
     flexibility = (0.9, 0.8, 0.5, 0.3)
     gamma, eta = zip(*map(rigidity_to_params, flexibility))
     cost = FiscalCostSpec(
-        target=targets,
+        target=ExpenditureVector(40.0, 18.0, 18.0, 24.0),
         weights=(0.25, 0.25, 0.25, 0.25),
         total_weight=0.25,
         total_reference=97.0,
@@ -170,23 +156,9 @@ def load_default_preset() -> CalibrationPreset:
             ("other capital projects", 22.0),
         ),
     }
-    breakeven_catalog = (
-        BreakEvenScenario("A", "low", 0.10, 3, 0.8, 0.05),
-        BreakEvenScenario("B", "medium", 0.10, 3, 2.0, 0.15),
-        BreakEvenScenario("C", "high", 0.10, 3, 4.0, 0.30),
-        BreakEvenScenario("D", "low", 0.20, 5, 0.8, 0.05),
-        BreakEvenScenario("E", "medium", 0.20, 5, 2.0, 0.15),
-        BreakEvenScenario("F", "high", 0.20, 5, 4.0, 0.30),
-    )
-    reform_catalog = (
-        ReformScenario("administrative-restructuring", "efficiency improvements", Category.OPERATING),
-        ReformScenario("pension-reform", "institutional reform", Category.TRANSFERS),
-        ReformScenario("human-capital-reallocation", "investment expansion", Category.INVESTMENT),
-    )
     return CalibrationPreset(
         name=DEFAULT_PRESET_NAME,
         baseline=baseline,
-        targets=targets,
         flexibility=flexibility,
         rigidity=RigidityParams(gamma=gamma, eta=eta),
         cost=cost,
@@ -194,8 +166,7 @@ def load_default_preset() -> CalibrationPreset:
         horizon=50,
         gdp_shares=(13.2, 6.0, 3.4, 6.1),
         internal_composition=internal,
-        breakeven_catalog=breakeven_catalog,
-        reform_catalog=reform_catalog,
+        breakeven_catalog=_BREAKEVEN_CATALOG,
     )
 
 

@@ -171,12 +171,12 @@ def _cmd_scenario_table(args: argparse.Namespace) -> int:
     header = f"{'scenario':<9}{'rho':>5}{'H':>3}  {'regime':<7}{'gamma_F':>8}{'eta_F':>7}  {'t*':<4}{'cum_net[0..5]':>14}"
     print(header)
     for row in preset.breakeven_catalog:
-        spec = row.spec()
+        spec = row.spec
         series = savings_series(equal_step_path(spec), spec)
         label = series.breakeven_label
         print(
-            f"{row.name:<9}{row.reduction_fraction:>5.2f}{row.target_years:>3}  "
-            f"{row.regime:<7}{row.gamma:>8.2f}{row.eta:>7.2f}  "
+            f"{row.name:<9}{spec.reduction_fraction:>5.2f}{spec.target_years:>3}  "
+            f"{row.regime:<7}{spec.gamma:>8.2f}{spec.eta:>7.2f}  "
             f"{label:<4}{series.windowed_cumulative:>14.2f}"
         )
     return EXIT_OK

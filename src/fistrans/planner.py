@@ -535,6 +535,8 @@ def _certify(
         gap = problem.sign * (values[1:] - values[:-1] - problem.limits)
         comp = np.abs(np.where(problem.has, gap, 0.0)) * np.minimum(z, 1.0)
         residuals = np.abs(problem.with_multipliers(residual, z))
+        # An overflowed marginal cost leaves inf - inf: that date is not certified.
+        np.copyto(residuals, np.inf, where=np.isnan(residuals))
         grad_norm = float(np.max(residuals))
         max_residual = float(np.max(residuals[:-1])) if problem.T >= 2 else 0.0
         violation = max(0.0, float(np.max(-gap)))

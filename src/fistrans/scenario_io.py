@@ -398,15 +398,17 @@ def build_report(
     ``g_eff`` the shape classifier rejects (shorter than three years, or not
     finite after a stopped solve) gets the trivial verdict: no rise, peak at 0."""
     report = solve(scenario, config)
-    outlay = adjustment_series(report.trajectory, scenario.rigidity)
-    g_eff = report.trajectory.totals() + outlay
+    # The solver's floating-point policy: an outlay that overflows is inf, unwarned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        outlay = adjustment_series(report.trajectory, scenario.rigidity)
+        g_eff = report.trajectory.totals() + outlay
+        savings = None
+        if scenario.breakeven is not None:
+            savings = savings_series(equal_step_path(scenario.breakeven), scenario.breakeven)
     try:
         verdict = jshape_classify(g_eff)
     except ValidationError:
         verdict = JShapeVerdict(False, 0, float(g_eff[0]), float(g_eff[-1]))
-    savings = None
-    if scenario.breakeven is not None:
-        savings = savings_series(equal_step_path(scenario.breakeven), scenario.breakeven)
     provenance = (
         ("tool", f"fistrans {__version__}"),
         ("preset", preset),

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines.
 """
 
+import dataclasses
 import functools
 import math
 import time
@@ -204,20 +205,10 @@ def test_criterion_7_jshape_qualitative():
 def test_criterion_8_rigidity_monotonicity():
     preset = load_default_preset()
     for row in preset.breakeven_catalog:
-        spec = row.spec()
+        spec = row.spec
         path = equal_step_path(spec)
         base = savings_series(path, spec)
-        doubled = savings_series(
-            path,
-            row.spec().__class__(
-                reduction_fraction=spec.reduction_fraction,
-                target_years=spec.target_years,
-                adjustable_base=spec.adjustable_base,
-                window=spec.window,
-                gamma=2.0 * spec.gamma,
-                eta=2.0 * spec.eta,
-            ),
-        )
+        doubled = savings_series(path, dataclasses.replace(spec, gamma=2.0 * spec.gamma, eta=2.0 * spec.eta))
         assert doubled.windowed_cumulative < base.windowed_cumulative
         base_t = base.breakeven_year if base.breakeven_year is not None else math.inf
         doubled_t = doubled.breakeven_year if doubled.breakeven_year is not None else math.inf
@@ -241,7 +232,7 @@ def test_criterion_9_calibration_anchors():
 @criterion(10, "byte-identical CSV and scenario round trips")
 def test_criterion_10_determinism_and_round_trip():
     preset = load_default_preset()
-    scen = preset.scenario(name="determinism", breakeven=preset.breakeven_row("A").spec())
+    scen = preset.scenario(name="determinism", breakeven=preset.breakeven_row("A").spec)
     csv_a = emit_trajectory_csv(build_report(scen))
     csv_b = emit_trajectory_csv(build_report(scen))
     assert csv_a == csv_b

@@ -72,7 +72,7 @@ def test_hand_oracle_matches_reported_rows():
 def test_savings_series_reproduces_all_catalog_rows():
     preset = load_default_preset()
     for row in preset.breakeven_catalog:
-        spec = row.spec()
+        spec = row.spec
         series = savings_series(equal_step_path(spec), spec)
         exp_t, exp_cum = EXPECTED_ROWS[row.name]
         assert series.breakeven_year == exp_t
@@ -82,7 +82,7 @@ def test_savings_series_reproduces_all_catalog_rows():
 def test_savings_identity_and_prefix_sums():
     preset = load_default_preset()
     for row in preset.breakeven_catalog:
-        spec = row.spec()
+        spec = row.spec
         series = savings_series(equal_step_path(spec), spec)
         assert np.array_equal(series.net, series.gross - series.adjustment)
         assert np.allclose(series.cumulative, np.cumsum(series.net), atol=0)
@@ -143,7 +143,7 @@ def test_asymmetric_admin_block_prices_cuts_with_gamma_down():
 def test_rigidity_scaling_monotonicity_on_fixed_path():
     preset = load_default_preset()
     for row in preset.breakeven_catalog:
-        spec = row.spec()
+        spec = row.spec
         path = equal_step_path(spec)
         base = savings_series(path, spec)
         doubled_spec = BreakEvenSpec(
@@ -165,8 +165,8 @@ def test_rigidity_scaling_monotonicity_on_fixed_path():
 
 def test_breakeven_label_formats():
     preset = load_default_preset()
-    spec_a = preset.breakeven_row("A").spec()
-    spec_c = preset.breakeven_row("C").spec()
+    spec_a = preset.breakeven_row("A").spec
+    spec_c = preset.breakeven_row("C").spec
     assert savings_series(equal_step_path(spec_a), spec_a).breakeven_label == "3"
     assert savings_series(equal_step_path(spec_c), spec_c).breakeven_label == "> 5"
 

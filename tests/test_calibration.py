@@ -49,7 +49,7 @@ def test_mapping_is_monotone_on_dense_grid():
 def test_default_preset_tables():
     preset = load_default_preset()
     assert preset.baseline.as_tuple() == (46.0, 21.0, 12.0, 21.0)
-    assert preset.targets.as_tuple() == (40.0, 18.0, 18.0, 24.0)
+    assert preset.cost.target.as_tuple() == (40.0, 18.0, 18.0, 24.0)
     assert preset.flexibility == (0.9, 0.8, 0.5, 0.3)
     assert preset.rigidity.gamma == (4.0, 3.5, 1.5, 1.0)
     assert preset.rigidity.eta == (1.8, 1.5, 0.6, 0.4)
@@ -84,36 +84,32 @@ def test_internal_composition_sums_to_hundred():
 )
 def test_preset_shares_must_sum_to_hundred(field, message):
     preset = load_default_preset()
+    target = preset.cost.target
     bad = {
-        "baseline": dataclasses.replace(preset.baseline, transfers=preset.baseline.transfers + 1.0),
-        "targets": dataclasses.replace(preset.targets, wages=preset.targets.wages - 1.0),
-        "internal_composition": {**preset.internal_composition, Category.TRANSFERS: (("pensions", 72.0),)},
+        "baseline": {"baseline": dataclasses.replace(preset.baseline, transfers=preset.baseline.transfers + 1.0)},
+        "targets": {"cost": dataclasses.replace(preset.cost, target=dataclasses.replace(target, wages=target.wages - 1.0))},
+        "internal_composition": {
+            "internal_composition": {**preset.internal_composition, Category.TRANSFERS: (("pensions", 72.0),)}
+        },
     }
     with pytest.raises(ValidationError, match=message):
-        dataclasses.replace(preset, **{field: bad[field]})
+        dataclasses.replace(preset, **bad[field])
 
 
 def test_breakeven_catalog_rows():
     preset = load_default_preset()
     rows = {row.name: row for row in preset.breakeven_catalog}
     assert list(rows) == ["A", "B", "C", "D", "E", "F"]
-    b = rows["B"]
+    b = rows["B"].spec
     assert (b.reduction_fraction, b.target_years, b.gamma, b.eta) == (0.10, 3, 2.0, 0.15)
+    assert (b.adjustable_base, b.window) == (100.0, 5)
     assert rows["A"].regime == "low" and rows["C"].regime == "high"
-    assert rows["D"].target_years == 5 and rows["D"].reduction_fraction == 0.20
+    assert rows["D"].spec.target_years == 5 and rows["D"].spec.reduction_fraction == 0.20
 
 
 def test_breakeven_row_lookup_errors_on_unknown_name():
     with pytest.raises(ValidationError):
         load_default_preset().breakeven_row("Z")
-
-
-def test_reform_catalog_targets():
-    preset = load_default_preset()
-    targeted = {row.name: row.category for row in preset.reform_catalog}
-    assert targeted["administrative-restructuring"] is Category.OPERATING
-    assert targeted["pension-reform"] is Category.TRANSFERS
-    assert targeted["human-capital-reallocation"] is Category.INVESTMENT
 
 
 def test_preset_scenario_is_valid_and_named():
@@ -123,7 +119,7 @@ def test_preset_scenario_is_valid_and_named():
     assert 0.0 < scen.beta < 1.0
     assert scen.horizon == 50
     assert scen.breakeven is None
-    named = preset.scenario(name="run-1", breakeven=preset.breakeven_row("A").spec())
+    named = preset.scenario(name="run-1", breakeven=preset.breakeven_row("A").spec)
     assert named.name == "run-1"
     assert named.breakeven is not None
 

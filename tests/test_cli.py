@@ -5,7 +5,6 @@ import re
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import fistrans
@@ -57,6 +56,15 @@ def test_validate_shipped_scenarios(capsys):
     for path in sorted(REPO_SCENARIOS.glob("*.scn")):
         assert run_cli(["validate", str(path)]) == EXIT_OK, path
         assert "ok:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("row", load_default_preset().breakeven_catalog, ids=lambda row: row.name)
+def test_shipped_savings_scenario_is_its_catalog_row(row):
+    # demos/scenarios holds one file per catalog row; the two copies must agree.
+    path = REPO_SCENARIOS / f"admin_savings_{row.name.lower()}.scn"
+    preset = load_default_preset()
+    want = preset.scenario(name=f"administrative-savings-{row.name}", breakeven=row.spec)
+    assert parse_scenario(read_scenario_file(path)) == want
 
 
 def test_validate_rejects_invalid_file(tmp_path, capsys):
@@ -286,6 +294,7 @@ def test_a_singular_stop_whose_costs_overflow_exits_two_without_warning(capsys, 
         assert run_cli(argv) == EXIT_NOT_CONVERGED
     captured = capsys.readouterr()
     assert captured.err.startswith("solver did not converge: singular after 0 iterations")
+    assert captured.err.endswith("(gradient_norm inf)\n")
     if command == "simulate" and name == "overflow_singular.scn":
         row1 = captured.out.splitlines()[-1].split(",")
         assert [row1[0], row1[6], row1[7]] == ["1", "inf", "inf"]
@@ -293,10 +302,9 @@ def test_a_singular_stop_whose_costs_overflow_exits_two_without_warning(capsys, 
 
 @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: str(p.relative_to(TESTS.parent)))
 def test_every_committed_scenario_exits_as_its_solve_ends(capsys, path):
-    with np.errstate(over="ignore", invalid="ignore"):
-        converged = build_report(parse_scenario(read_scenario_file(path))).solve.converged
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        converged = build_report(parse_scenario(read_scenario_file(path))).solve.converged
         codes = [run_cli(["simulate", str(path), "--out", "-"]), run_cli(["jshape", str(path)])]
     want = EXIT_OK if converged else EXIT_NOT_CONVERGED
     assert codes == [want, want]

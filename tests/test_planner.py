@@ -334,7 +334,7 @@ def test_objective_history_never_increases():
 
 def test_rigidity_scaling_slows_the_transition():
     preset = load_default_preset()
-    cost = FiscalCostSpec(target=preset.targets, weights=(0.5, 0.5, 0.5, 0.5))
+    cost = FiscalCostSpec(target=preset.cost.target, weights=(0.5, 0.5, 0.5, 0.5))
     gamma = np.array(preset.rigidity.gamma)
     eta = np.array(preset.rigidity.eta)
 
@@ -349,8 +349,8 @@ def test_rigidity_scaling_slows_the_transition():
         )
         report = solve(scen)
         assert report.converged
-        closure = gradualism_metric(report.trajectory, preset.targets)
-        gaps = np.linalg.norm(report.trajectory.values - preset.targets.as_array(), axis=1)
+        closure = gradualism_metric(report.trajectory, preset.cost.target)
+        gaps = np.linalg.norm(report.trajectory.values - preset.cost.target.as_array(), axis=1)
         threshold = 0.01 * gaps[0]
         inside = np.nonzero(gaps < threshold)[0]
         settle = int(inside[0]) if inside.size else report.trajectory.horizon + 1
@@ -548,7 +548,7 @@ def test_stage_cost_minimizer_closed_form():
     anchor = stage_cost_minimizer(preset.scenario())
     # Uniform weights shift every category equally to meet the total pull.
     shift = (100.0 - 97.0) / (1.0 + 0.25 * (4 / 0.25))
-    assert np.allclose(anchor, preset.targets.as_array() - (0.25 * shift / 0.25), atol=1e-12)
+    assert np.allclose(anchor, preset.cost.target.as_array() - (0.25 * shift / 0.25), atol=1e-12)
     assert anchor.sum() == pytest.approx(97.0 + shift, abs=1e-12)
 
 
@@ -708,6 +708,17 @@ def test_a_band_that_overflows_is_a_singular_stop(scen):
         warnings.simplefilter("error")
         report = solve(scen)
     assert (report.termination, report.converged) == ("singular", False)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+def test_an_overflowed_residual_is_reported_as_infinite(horizon):
+    # The overflowed marginal cost leaves inf - inf in the residual of each
+    # date before T; the report reads that as uncertified (inf), never nan.
+    overflow = parse_scenario((Path(__file__).resolve().parent / "overflow_singular.scn").read_text(encoding="utf-8"))
+    report = solve(dataclasses.replace(overflow, horizon=horizon))
+    assert (report.termination, report.converged, report.iterations) == ("singular", False, 0)
+    assert report.gradient_norm == math.inf
+    assert report.max_euler_residual == (0.0 if horizon == 1 else math.inf)
 
 
 @pytest.mark.parametrize("case", [(50, 0.5), (300, 0.5), (1000, None)])

@@ -380,7 +380,7 @@ def test_csv_prints_a_value_that_rounds_to_zero_from_below_as_zero():
 
 def test_csv_savings_row_five_matches_pipeline_at_six_decimals():
     preset = load_default_preset()
-    scen = preset.scenario(name="savings-run", breakeven=preset.breakeven_row("A").spec())
+    scen = preset.scenario(name="savings-run", breakeven=preset.breakeven_row("A").spec)
     report = build_report(scen)
     lines = emit_trajectory_csv(report).splitlines()
     row5 = lines[6].split(",")
