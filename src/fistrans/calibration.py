@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from functools import cache
+from types import MappingProxyType
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -76,7 +78,7 @@ _BREAKEVEN_CATALOG = (
 class CalibrationPreset:
     """An immutable bundle of calibrated inputs and the savings catalog.
 
-    The reform target is ``cost.target``. ``gdp_shares`` and
+    The reform target is ``cost.target``. ``gdp_shares`` and the read-only
     ``internal_composition`` are annotations only; the dynamics run on the
     four-category share vector.
     """
@@ -89,10 +91,11 @@ class CalibrationPreset:
     beta: float
     horizon: int
     gdp_shares: Tuple[float, float, float, float]
-    internal_composition: Dict[Category, Tuple[Tuple[str, float], ...]]
+    internal_composition: Mapping[Category, Tuple[Tuple[str, float], ...]]
     breakeven_catalog: Tuple[BreakEvenScenario, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "internal_composition", MappingProxyType(dict(self.internal_composition)))
         if abs(self.baseline.total - 100.0) > 1e-9:
             raise ValidationError(f"baseline shares must sum to 100, got {self.baseline.total}")
         if abs(self.cost.target.total - 100.0) > 1e-9:
@@ -121,8 +124,9 @@ class CalibrationPreset:
         raise ValidationError(f"unknown break-even scenario {name!r}")
 
 
+@cache
 def load_default_preset() -> CalibrationPreset:
-    """The shipped calibration: baseline shares, rigidity, target, catalog.
+    """The shipped calibration, built at the first call: one shared, immutable value.
 
     The allocation-cost weights are a deliberate convention: equal category
     weights with a total-spending penalty anchored below the baseline total,
@@ -184,20 +188,18 @@ def rigidity_to_params(flexibility_score: float) -> Tuple[float, float]:
     return gamma, eta
 
 
-def asymmetric_variant(rigidity: RigidityParams, down_factor: float = ASYMMETRIC_DOWN_FACTOR) -> RigidityParams:
+def asymmetric_variant(rigidity: RigidityParams) -> RigidityParams:
     """Asymmetric rigidity derived from a symmetric set.
 
     Increases keep the symmetric quadratic curvature; reductions are scaled
-    up by ``down_factor``. The factor is a convention of this package, not a
-    published number, and reports flag it as such.
+    up by ``ASYMMETRIC_DOWN_FACTOR``. The factor is a convention of this
+    package, not a published number, and reports flag it as such.
     """
     if rigidity.is_asymmetric:
         raise ValidationError("rigidity is already asymmetric")
-    if down_factor < 1.0:
-        raise ValidationError(f"down_factor must be >= 1, got {down_factor}")
     gamma, _ = rigidity.gamma_pair()
     return RigidityParams(
         eta=rigidity.eta,
         gamma_up=tuple(gamma),
-        gamma_down=tuple(gamma * down_factor),
+        gamma_down=tuple(gamma * ASYMMETRIC_DOWN_FACTOR),
     )

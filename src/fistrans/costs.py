@@ -43,6 +43,7 @@ __all__ = [
     "quad_cubic",
     "quad_allocation",
     "quad_allocation_hessian",
+    "quad_allocation_minimum",
     "quad_cubic_args",
     "quad_allocation_args",
 ]
@@ -97,6 +98,20 @@ def quad_allocation(x, weights, target, total_weight, total_reference):
 def quad_allocation_hessian(weights, total_weight) -> np.ndarray:
     """The allocation cost's Hessian, the same at every point: diag(w) + w_total."""
     return np.diag(weights) + total_weight
+
+
+def quad_allocation_minimum(weights, target, total_weight, total_reference) -> np.ndarray:
+    """C's minimum-norm minimizer target - (S - R) * u, with S the target's total and
+    R the reference; C's gradient at the target is w_total * (S - R) in every category.
+    u = (w_total / w) / (1 + sum_k w_total / w_k) when every weight is positive, else
+    the equal split over the zero-weight categories, or 0 when w_total = 0."""
+    zero = weights == 0.0
+    if not zero.any():
+        u = total_weight / weights
+        u /= 1.0 + np.sum(u)
+    else:
+        u = zero / np.count_nonzero(zero) if total_weight > 0.0 else 0.0 * weights
+    return target - (np.sum(target) - total_reference) * u
 
 
 def quad_cubic_args(rigidity: RigidityParams | BreakEvenSpec) -> tuple:

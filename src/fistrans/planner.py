@@ -68,7 +68,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .costs import quad_allocation, quad_allocation_args, quad_allocation_hessian, quad_cubic, quad_cubic_args
+from .costs import quad_allocation, quad_allocation_args, quad_allocation_hessian, quad_allocation_minimum
+from .costs import quad_cubic, quad_cubic_args
 from .types import (
     N_CATEGORIES,
     ExpenditureVector,
@@ -171,7 +172,8 @@ class _Problem:
         beta = self.beta = scenario.beta
         self.disc = beta ** np.arange(1, T + 1)
         allocation = quad_allocation_args(scenario.cost)
-        self.hess, self.anchor = _minimizer(allocation)
+        self.hess = quad_allocation_hessian(allocation[0], allocation[2])
+        self.anchor = quad_allocation_minimum(*allocation)
         self.anchor.flags.writeable = False  # the report hands it out
         self.value0 = float(quad_allocation(self.x0, *allocation)[0])
         self.wT = config.terminal_weight
@@ -269,23 +271,11 @@ class _Problem:
         return flat
 
 
-def _minimizer(allocation: tuple) -> Tuple[np.ndarray, np.ndarray]:
-    """C's Hessian and minimum, from the ``quad_allocation`` arguments (see ``stage_cost_minimizer``)."""
-    weights, target, total_weight, _ = allocation
-    hess = quad_allocation_hessian(weights, total_weight)
-    z, *_ = np.linalg.lstsq(hess, -quad_allocation(target, *allocation)[1], rcond=None)
-    return hess, target + z
-
-
 def stage_cost_minimizer(scenario: Scenario) -> np.ndarray:
-    """Long-run allocation implied by the cost spec (minimum of C).
-
-    C is quadratic, so the deviation z from the target solves H z =
-    -grad C(target) with H its Hessian; the minimum-norm solution handles
-    degenerate weights. Equals the plain target whenever the total penalty is
-    inactive or the reference matches the target's total.
-    """
-    return _minimizer(quad_allocation_args(scenario.cost))[1]
+    """Long-run allocation implied by the cost spec, C's minimum-norm minimum
+    (``quad_allocation_minimum``): the plain target whenever the total
+    penalty is inactive or the reference matches the target's total."""
+    return quad_allocation_minimum(*quad_allocation_args(scenario.cost))
 
 
 def _initial_allocations(problem: _Problem) -> np.ndarray:

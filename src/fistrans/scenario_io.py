@@ -13,11 +13,11 @@ Scenario file grammar (documented in the README as well):
 
 ``_fields`` is the one place where the sections and keys are defined: it
 maps a scenario to ``section -> key -> value`` in file order. Serializing
-renders that table. Parsing builds the table of the named preset (default
-``paper-default``), overlays the file's entries and builds the scenario
-from the result, so a file containing only ``preset = "paper-default"``
-is a complete scenario. Serialization emits every resolved field, so a
-serialized scenario parses back bit-equal regardless of preset evolution.
+renders that table. Parsing overlays the file's entries on the table of the
+named preset (default ``paper-default``, the shared ``load_default_preset()``)
+and builds the scenario, so ``preset = "paper-default"`` alone is a complete
+scenario. Serialization emits every resolved field, so a serialized
+scenario parses back bit-equal regardless of preset evolution.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cache
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -240,17 +239,9 @@ def read_scenario_file(path: str | os.PathLike) -> str:
         raise error from None
 
 
-@cache
-def _default_scenario() -> Scenario:
-    """The built-in preset's scenario, built once per process. A ``Scenario``
-    holds only tuples and floats, so every parse can share it; the preset
-    itself is not cached, because its ``internal_composition`` is a dict."""
-    return load_default_preset().scenario()
-
-
 def _resolve_preset(name: str, depth: int = 0) -> Scenario:
     if name == DEFAULT_PRESET_NAME:
-        return _default_scenario()
+        return load_default_preset().scenario()
     preset_dir = os.environ.get(PRESET_DIR_ENV)
     if preset_dir:
         candidate = Path(preset_dir) / f"{name}.scn"
@@ -405,6 +396,7 @@ def build_report(
         savings = None
         if scenario.breakeven is not None:
             savings = savings_series(equal_step_path(scenario.breakeven), scenario.breakeven)
+    g_eff.flags.writeable = outlay.flags.writeable = False  # the jshape verdict describes these bits
     try:
         verdict = jshape_classify(g_eff)
     except ValidationError:

@@ -74,6 +74,20 @@ def test_internal_composition_sums_to_hundred():
     assert pensions == 72.0
 
 
+def test_the_default_preset_is_one_immutable_value():
+    preset = load_default_preset()
+    assert load_default_preset() is preset
+    with pytest.raises(TypeError):
+        preset.internal_composition[Category.TRANSFERS] = (("pensions", 100.0),)
+    # A replaced preset holds its own read-only copy of the mapping it is given.
+    parts = dict(preset.internal_composition)
+    copy = dataclasses.replace(preset, internal_composition=parts)
+    parts.clear()
+    assert copy.internal_composition == preset.internal_composition
+    with pytest.raises(TypeError):
+        copy.internal_composition[Category.OPERATING] = ()
+
+
 @pytest.mark.parametrize(
     "field, message",
     [
@@ -133,5 +147,3 @@ def test_asymmetric_variant_convention():
     assert asym.eta == preset.rigidity.eta
     with pytest.raises(ValidationError):
         asymmetric_variant(asym)
-    with pytest.raises(ValidationError):
-        asymmetric_variant(preset.rigidity, down_factor=0.5)

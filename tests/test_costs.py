@@ -15,7 +15,13 @@ from fistrans import (
     phi_asymmetric,
     stage_cost,
 )
-from fistrans.costs import quad_allocation, quad_allocation_args, quad_allocation_hessian, quad_cubic_args
+from fistrans.costs import (
+    quad_allocation,
+    quad_allocation_args,
+    quad_allocation_hessian,
+    quad_allocation_minimum,
+    quad_cubic_args,
+)
 
 from helpers import TABLE_ETA, TABLE_GAMMA, TARGETS
 
@@ -159,6 +165,23 @@ def test_allocation_kernel_stacks_stage_cost_with_a_constant_hessian():
         fd = (quad_allocation(point + bumps, *args)[1] - quad_allocation(point - bumps, *args)[1]) / (2.0 * h)
         # Row j of fd is the gradient's change along category j, column j of the Hessian.
         assert np.allclose(fd.T, hess, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("zeros", [0, 1, 2, 4])
+@pytest.mark.parametrize("total_weight", ["random", 0.0])
+def test_the_allocation_minimum_zeroes_the_gradient_at_least_norm(zeros, total_weight):
+    rng = np.random.default_rng(100 + zeros)
+    for _ in range(500):
+        weights = rng.uniform(0.05, 2.0, 4)
+        weights[rng.choice(4, zeros, replace=False)] = 0.0
+        w_total = float(rng.uniform(0.0, 1.0)) if total_weight == "random" else total_weight
+        args = (weights, rng.uniform(5.0, 40.0, 4), w_total, float(rng.uniform(80.0, 120.0)))
+        anchor = quad_allocation_minimum(*args)
+        assert np.max(np.abs(quad_allocation(anchor, *args)[1])) <= 1e-12
+        # The minimum-norm solution of H z = -grad C(target), as lstsq finds it.
+        hess = quad_allocation_hessian(weights, w_total)
+        z, *_ = np.linalg.lstsq(hess, -quad_allocation(args[1], *args)[1], rcond=None)
+        assert np.allclose(anchor, args[1] + z, rtol=0.0, atol=1e-9)
 
 
 def test_a_symmetric_block_gives_its_gamma_as_kink_and_no_skew():

@@ -721,6 +721,20 @@ def test_an_overflowed_residual_is_reported_as_infinite(horizon):
     assert report.max_euler_residual == (0.0 if horizon == 1 else math.inf)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ValidationError,
+    reason="ROADMAP item 7: x >= 0 is checked by Trajectory after the solve, not imposed in it",
+)
+@pytest.mark.parametrize("name", ["negative_path_301_88", "negative_path_302_97"])
+def test_a_bounded_draw_whose_path_dips_below_zero_certifies(name):
+    # Kept under known_failures/, out of the committed-scenario sweep, until it passes.
+    path = Path(__file__).resolve().parent / "known_failures" / f"{name}.scn"
+    report = solve(parse_scenario(path.read_text(encoding="utf-8")))
+    assert report.converged
+    assert report.trajectory.values.min() >= 0.0
+
+
 @pytest.mark.parametrize("case", [(50, 0.5), (300, 0.5), (1000, None)])
 def test_one_banded_factorisation_per_step(monkeypatch, case):
     factorisations, back_solves = [], []

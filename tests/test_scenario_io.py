@@ -15,7 +15,7 @@ from fistrans import (
     parse_scenario_info,
     serialize_scenario,
 )
-from fistrans import analytics, scenario_io
+from fistrans import analytics, calibration, scenario_io
 from fistrans.analytics import adjustment_series, effective_expenditure
 from fistrans.cli import run_cli
 from fistrans.scenario_io import build_report, emit_trajectory_csv, load_preset_scenario, read_scenario_file
@@ -207,22 +207,19 @@ def test_round_trip_default_preset():
 
 
 def test_the_default_preset_is_built_once_for_every_parse(monkeypatch):
-    calls = []
+    built, preset_type = [], calibration.CalibrationPreset
 
-    def counted():
-        calls.append(1)
-        return load_default_preset()
+    def counted(*args, **kwargs):
+        built.append(1)
+        return preset_type(*args, **kwargs)
 
-    monkeypatch.setattr(scenario_io, "load_default_preset", counted)
-    scenario_io._default_scenario.cache_clear()
-    try:
-        scen = dataclasses.replace(load_default_preset().scenario(), beta=0.9)
-        assert parse_scenario(serialize_scenario(scen)) == scen
-        # The first parse's override does not leak into the shared preset.
-        assert parse_scenario("") == load_default_preset().scenario()
-    finally:
-        scenario_io._default_scenario.cache_clear()
-    assert len(calls) == 1
+    scen = dataclasses.replace(load_default_preset().scenario(), beta=0.9)
+    monkeypatch.setattr(calibration, "CalibrationPreset", counted)
+    load_default_preset.cache_clear()
+    assert parse_scenario(serialize_scenario(scen)) == scen
+    # The first parse's override does not leak into the shared preset.
+    assert parse_scenario("") == load_default_preset().scenario()
+    assert len(built) == 1
 
 
 def _mixed_bounds(rng: np.random.Generator):
@@ -402,6 +399,10 @@ def test_the_report_owns_the_outlay_and_keeps_g_eff_bits(path):
     traj = report.solve.trajectory
     assert report.outlay.tobytes() == adjustment_series(traj, scen.rigidity).tobytes()
     assert report.g_eff.tobytes() == effective_expenditure(traj, scen.rigidity).tobytes()
+    # Read-only, so the jshape verdict keeps describing the g_eff handed out.
+    for series in (report.g_eff, report.outlay):
+        with pytest.raises(ValueError, match="read-only"):
+            series[0] = 0.0
 
 
 def test_simulate_evaluates_the_outlay_once(monkeypatch, capsys):
