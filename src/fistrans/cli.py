@@ -161,7 +161,7 @@ def _cmd_breakeven(args: argparse.Namespace) -> int:
     series = savings_series(equal_step_path(spec), spec)
     print(f"scenario: {scenario.name}")
     print(f"reduction: {spec.reduction_fraction:.2f} of {spec.adjustable_base:g} over {spec.target_years} years")
-    print(f"t* {'> ' + str(series.window) if series.breakeven_year is None else '= ' + str(series.breakeven_year)}")
+    print(f"t* {'' if series.breakeven_year is None else '= '}{series.breakeven_label}")
     print(f"cumulative_net_savings[0..{series.window}]: {series.windowed_cumulative:.2f}")
     return EXIT_OK
 

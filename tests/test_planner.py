@@ -31,6 +31,7 @@ from fistrans import (
 from fistrans import planner
 from fistrans.costs import adjustment_cost, stage_cost
 from fistrans.calibration import asymmetric_variant
+from fistrans.cli import EXIT_NOT_CONVERGED, run_cli
 
 from helpers import BASELINE, TARGETS, fresh_python, preset_scenario, random_scenario, reform_scenario, scalar_scenario
 
@@ -845,6 +846,22 @@ def test_termination_reports_a_stalled_line_search(monkeypatch):
     monkeypatch.setattr(planner, "_factorise", lambda band: np.zeros_like)
     report = solve(load_default_preset().scenario())
     assert (report.termination, report.converged, report.iterations) == ("line_search_stalled", False, 0)
+
+
+def test_exhausted_backtracking_is_a_stalled_line_search(monkeypatch, capsys):
+    # With no backtrack allowed, the line search accepts no step: the loop stops
+    # at the first guess, and the CLI reports that stop and exits 2.
+    monkeypatch.setattr(planner, "_MAX_BACKTRACKS", 0)
+    scenario = load_default_preset().scenario()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve(scenario)
+        code = run_cli(["simulate", "--preset", "paper-default"])
+    assert (report.termination, report.converged, report.iterations) == ("line_search_stalled", False, 0)
+    first_guess = planner._initial_allocations(planner._Problem(scenario, SolverConfig()))
+    assert np.array_equal(report.trajectory.values, first_guess)
+    assert code == EXIT_NOT_CONVERGED
+    assert "line_search_stalled after 0 iterations" in capsys.readouterr().err
 
 
 # An asymmetric T = 25 reform on which a full Newton step takes the residual
