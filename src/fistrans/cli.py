@@ -133,14 +133,15 @@ def _not_converged(r: SolveReport) -> int:
     return EXIT_NOT_CONVERGED
 
 
-def _solver_config(args: argparse.Namespace) -> Optional[SolverConfig]:
-    budget = getattr(args, "max_iterations", None)
-    return None if budget is None else SolverConfig(max_iterations=budget)
+def _run(args: argparse.Namespace) -> RunReport:
+    """Load the scenario, solve it within ``--max-iterations``, and build its report."""
+    scenario, preset, overrides = _load(args)
+    config = None if args.max_iterations is None else SolverConfig(max_iterations=args.max_iterations)
+    return build_report(scenario, config=config, preset=preset, overrides=overrides)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario, preset, overrides = _load(args)
-    report = build_report(scenario, config=_solver_config(args), preset=preset, overrides=overrides)
+    report = _run(args)
     _print_summary(report, sys.stdout)
     if args.out is not None:
         csv_text = emit_trajectory_csv(report)
@@ -183,8 +184,8 @@ def _cmd_scenario_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_jshape(args: argparse.Namespace) -> int:
-    scenario, preset, overrides = _load(args)
-    report = build_report(scenario, config=_solver_config(args), preset=preset, overrides=overrides)
+    report = _run(args)
+    scenario = report.scenario
     # The rise condition weighs the outlay of the intended reallocation,
     # executed at reform start, against the recurring long-run cost gain. The
     # long-run anchor may leave the nonnegative allocations, so it stays an array.

@@ -62,7 +62,7 @@ import importlib.machinery
 import importlib.util
 import os
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -158,14 +158,16 @@ class SolveReport:
 
 
 class _Problem:
-    """Arrays and callables for one scenario solve. C and Phi enter only through
-    their ``costs`` kernels; ``allocation`` and ``adjustment`` hold the arguments
-    that ``costs`` lays out, each repeated to the shape (T, 4) of the allocations
-    so that no operation of a step broadcasts. The band's buffers, which only a
-    solve needs, are built on first use."""
+    """Arrays and callables of one scenario: the objective and stationarity
+    formulas that the loop, its certificate, ``objective_value`` and
+    ``euler_residuals`` share, and the Newton system's band. C and Phi enter
+    only through their ``costs`` kernels; ``allocation`` and ``adjustment``
+    hold the arguments that ``costs`` lays out, each repeated to the shape
+    (T, 4) of the allocations so that no operation of a step broadcasts.
+    Without a ``config`` the defaults of ``SolverConfig`` apply."""
 
-    def __init__(self, scenario: Scenario, config: SolverConfig):
-        self.config = config
+    def __init__(self, scenario: Scenario, config: Optional[SolverConfig] = None):
+        config = self.config = config if config is not None else SolverConfig()
         self.x0 = scenario.baseline.as_array()
         T = self.T = scenario.horizon
         beta = self.beta = scenario.beta
@@ -202,24 +204,16 @@ class _Problem:
         dates[:] = np.array([self.disc, self.disc, beta ** (np.arange(1, T + 1) / 2.0)])[:, :, None]
         self.disc_pair, self.root = dates[:2], dates[2]
         self.neg_root = -self.root
-
-    @cached_property
-    def _band_buffers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The Hessian band's entries that no iterate changes; ``band`` fills
-        in the rest. Row 0 couples (t-1, k) with (t, k); rows 1..3 hold C's
-        Hessian's coupling of categories within a date; row 4 the diagonal,
-        to which each date's next curvature adds (date T's: the anchor's).
-        Returns the band, the same band as LAPACK reads it, and the
-        next-curvature buffer."""
-        n = N_CATEGORIES
-        # One date's band: entry (i, j), i < j, of C's Hessian, without the
-        # couplings of frozen categories, sits in row n - (j - i), column j.
-        date = np.zeros((n + 1, n))
+        # The Hessian band's entries that no iterate changes; ``band`` fills in the
+        # rest. Row 0 couples (t-1, k) with (t, k); entry (i, j), i < j, of C's Hessian,
+        # without the couplings of frozen categories, sits in row 4 - (j - i), column j;
+        # row 4 is the diagonal, to which each date's next curvature ``nxt`` adds
+        # (date T's: the anchor's). ``flat`` is the band as LAPACK reads it.
         i, j = _UPPER
-        date[n - (j - i), j] = self.hess[i, j] * (self.free[i] & self.free[j])
-        ab = np.empty((n + 1, self.T, n))
-        ab[:] = date[:, None, :]
-        return ab, ab.reshape(n + 1, self.T * n), np.full((self.T, n), 2.0 * self.wT)
+        self.ab = np.zeros((N_CATEGORIES + 1, T, N_CATEGORIES))
+        self.ab[N_CATEGORIES - (j - i), :, j] = (self.hess[i, j] * (self.free[i] & self.free[j]))[:, None]
+        self.flat = self.ab.reshape(N_CATEGORIES + 1, T * N_CATEGORIES)
+        self.nxt = np.full((T, N_CATEGORIES), 2.0 * self.wT)
 
     def evaluate(self, path: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
         """Objective on the path x_0..x_T (x_0 the baseline); the plain
@@ -257,7 +251,7 @@ class _Problem:
         current-value curvature of each change. Rows and columns of date t
         are scaled by beta^(-t/2), which leaves every entry of order one.
         Filled in place: each call overwrites the previous call's band."""
-        ab, flat, nxt = self._band_buffers
+        ab, nxt = self.ab, self.nxt
         diag = ab[N_CATEGORIES]
         np.multiply(curv[1:], self.coupling[1:], out=ab[0, 1:])
         np.multiply(curv[1:], self.beta, out=nxt[:-1])
@@ -267,7 +261,7 @@ class _Problem:
         diag += _RIDGE
         if self.frozen is not None:
             np.copyto(diag, 1.0, where=self.frozen)
-        return flat
+        return self.flat
 
 
 def stage_cost_minimizer(scenario: Scenario) -> np.ndarray:
@@ -311,13 +305,12 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
     raises ``ValidationError``: the Newton system is solved scaled by
     beta^(t/2), which cannot represent those dates.
     """
-    cfg = config if config is not None else SolverConfig()
     if scenario.beta ** (scenario.horizon / 2.0) < np.finfo(float).tiny:
         raise ValidationError(
             f"beta = {scenario.beta} and T = {scenario.horizon} put beta^(T/2) below "
             "the smallest normal float; the late dates cannot be solved"
         )
-    problem = _Problem(scenario, cfg)
+    problem = _Problem(scenario, config)
     return _certify(problem, *_newton(problem))
 
 
@@ -552,12 +545,11 @@ def objective_value(trajectory: Trajectory, scenario: Scenario, config: Optional
     comparable with SolveReport.objective. The trajectory must start at the
     scenario's baseline, which the objective holds fixed.
     """
-    cfg = config if config is not None else SolverConfig()
     if trajectory.horizon != scenario.horizon:
         raise ValidationError(
             f"trajectory horizon {trajectory.horizon} does not match scenario horizon {scenario.horizon}"
         )
-    problem = _Problem(scenario, cfg)
+    problem = _Problem(scenario, config)
     if not np.array_equal(trajectory.values[0], problem.x0):
         raise ValidationError(f"trajectory does not start at the scenario's baseline {problem.x0.tolist()}")
     return problem.evaluate(trajectory.values)[0]
@@ -572,7 +564,7 @@ def euler_residuals(traj: Trajectory, scenario: Scenario) -> np.ndarray:
     """
     if traj.horizon < 2:
         raise ValidationError(f"residual check needs at least 3 trajectory rows, got {traj.horizon + 1}")
-    problem = _Problem(replace(scenario, baseline=traj.at(0), delta_bounds=None, horizon=traj.horizon), SolverConfig())
+    problem = _Problem(replace(scenario, baseline=traj.at(0), delta_bounds=None, horizon=traj.horizon))
     # The anchor's pull enters only the date-T row, which is not returned.
     return problem.evaluate(traj.values)[1][:-1]
 

@@ -43,6 +43,7 @@ from .calibration import DEFAULT_PRESET_NAME, load_default_preset
 from .planner import SolveReport, SolverConfig, solve
 from .types import (
     CATEGORIES,
+    _NO_LIMITS,
     BreakEvenSpec,
     ExpenditureVector,
     FiscalCostSpec,
@@ -107,6 +108,7 @@ class RunReport:
 
 # The kind of every key not listed here is float.
 _KINDS = {"name": str, "preset": str, "horizon": int, "target_years": int, "window": int}
+_CATEGORY_KEYS = tuple(cat.key for cat in CATEGORIES)
 
 
 def _fields(scenario: Scenario) -> _Table:
@@ -118,22 +120,21 @@ def _fields(scenario: Scenario) -> _Table:
     break-even block, and ``preset`` (a resolved scenario names none).
     """
     cost, be = scenario.cost, scenario.breakeven
-    categories = [cat.key for cat in CATEGORIES]
     gamma_keys = ("gamma", "gamma_up", "gamma_down", "eta")
     rigidity = {key: getattr(scenario.rigidity, key) for key in gamma_keys}
     table: _Table = {
         "": {"name": scenario.name, "preset": None, "beta": scenario.beta, "horizon": scenario.horizon},
-        "baseline": dict(zip(categories, scenario.baseline.as_tuple())),
-        "target": dict(zip(categories, cost.target.as_tuple())),
+        "baseline": dict(zip(_CATEGORY_KEYS, scenario.baseline.as_tuple())),
+        "target": dict(zip(_CATEGORY_KEYS, cost.target.as_tuple())),
         "weights": {
-            **dict(zip(categories, cost.weights)),
+            **dict(zip(_CATEGORY_KEYS, cost.weights)),
             "total": cost.total_weight,
             "total_reference": cost.total_reference,
         },
     }
-    for idx, category in enumerate(categories):
+    for idx, category in enumerate(_CATEGORY_KEYS):
         table[f"rigidity.{category}"] = {key: None if v is None else v[idx] for key, v in rigidity.items()}
-    for category, (lo, hi) in zip(categories, scenario.delta_bounds or [(-np.inf, np.inf)] * len(categories)):
+    for category, (lo, hi) in zip(_CATEGORY_KEYS, scenario.delta_bounds or _NO_LIMITS):
         table[f"bounds.{category}"] = {
             "min_change": None if lo == -np.inf else lo,
             "max_change": None if hi == np.inf else hi,
@@ -290,8 +291,7 @@ def _build(table: _Table, preset_asymmetric: bool, has_breakeven: bool) -> Scena
     builds that block even when the preset has none.
     """
     top, weights = table[""], table["weights"]
-    categories = [cat.key for cat in CATEGORIES]
-    rigidity = [table[f"rigidity.{category}"] for category in categories]
+    rigidity = [table[f"rigidity.{category}"] for category in _CATEGORY_KEYS]
     eta = tuple(r["eta"] for r in rigidity)
     if preset_asymmetric or any(r["gamma"] is None for r in rigidity):
         up = tuple(r["gamma_up"] if r["gamma"] is None else r["gamma"] for r in rigidity)
@@ -308,13 +308,13 @@ def _build(table: _Table, preset_asymmetric: bool, has_breakeven: bool) -> Scena
         if "gamma" not in be and "gamma_up" not in be:
             be["gamma"] = 0.0
         breakeven = BreakEvenSpec(**be)
-    bounds = [table[f"bounds.{category}"] for category in categories]
+    bounds = [table[f"bounds.{category}"] for category in _CATEGORY_KEYS]
     return Scenario(
         name=top["name"],
         baseline=ExpenditureVector(**table["baseline"]),
         cost=FiscalCostSpec(
             target=ExpenditureVector(**table["target"]),
-            weights=tuple(weights[category] for category in categories),
+            weights=tuple(weights[category] for category in _CATEGORY_KEYS),
             total_weight=weights["total"],
             total_reference=weights["total_reference"],
         ),

@@ -57,6 +57,8 @@ class Category(Enum):
 
 CATEGORIES: Tuple[Category, ...] = tuple(Category)
 N_CATEGORIES = len(CATEGORIES)
+# Every category's change limits when a scenario sets none.
+_NO_LIMITS = ((-math.inf, math.inf),) * N_CATEGORIES
 
 # Values this close below zero are treated as numerical zeros when a solver
 # result is packed into value objects that require nonnegativity.
@@ -347,15 +349,8 @@ class Scenario:
                     raise ValidationError(f"delta_bounds[{cat.key}] contains NaN")
                 if lo > 0.0 or hi < 0.0:
                     raise ValidationError(f"delta_bounds[{cat.key}] must admit zero change, got ({lo}, {hi})")
-            unbounded = all(lo == -np.inf and hi == np.inf for lo, hi in norm)
-            object.__setattr__(self, "delta_bounds", None if unbounded else norm)
+            object.__setattr__(self, "delta_bounds", None if norm == _NO_LIMITS else norm)
 
     def bounds_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Lower/upper per-category change bounds (infinite when unbounded)."""
-        if self.delta_bounds is None:
-            lo = np.full(N_CATEGORIES, -np.inf)
-            hi = np.full(N_CATEGORIES, np.inf)
-        else:
-            lo = np.array([b[0] for b in self.delta_bounds], dtype=float)
-            hi = np.array([b[1] for b in self.delta_bounds], dtype=float)
-        return lo, hi
+        return tuple(np.array(self.delta_bounds or _NO_LIMITS, dtype=float).T)

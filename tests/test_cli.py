@@ -210,10 +210,11 @@ def test_simulate_from_preset_flag(capsys):
     assert "scenario: paper-default" in capsys.readouterr().out
 
 
-def test_simulate_exhausted_budget_exits_two(capsys, short_scenario_file):
-    assert run_cli(["simulate", str(short_scenario_file), "--max-iterations", "1"]) == EXIT_NOT_CONVERGED
+@pytest.mark.parametrize("command", ["simulate", "jshape"])
+def test_simulate_exhausted_budget_exits_two(capsys, short_scenario_file, command):
+    assert run_cli([command, str(short_scenario_file), "--max-iterations", "1"]) == EXIT_NOT_CONVERGED
     captured = capsys.readouterr()
-    assert "converged: False" in captured.out
+    assert ("converged: False" in captured.out) == (command == "simulate")  # jshape prints no summary
     assert "did not converge: budget_exhausted after 1 iterations" in captured.err
 
 

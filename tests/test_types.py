@@ -16,6 +16,7 @@ from fistrans import (
     Trajectory,
     ValidationError,
     delta,
+    serialize_scenario,
     total,
 )
 
@@ -193,6 +194,41 @@ def test_scenario_normalizes_unbounded_bounds_to_none():
         delta_bounds=((-np.inf, np.inf),) * 4,
     )
     assert scen.delta_bounds is None
+
+
+ONE_SIDED = ((-0.5, np.inf), (-np.inf, 1.0), (-np.inf, np.inf), (-np.inf, np.inf))
+FROZEN = ((0.0, 0.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "bounds, stored",
+    [(None, None), (ONE_SIDED, ONE_SIDED), (FROZEN, FROZEN), (((-np.inf, np.inf),) * 4, None)],
+    ids=["none", "one-sided", "frozen", "all-infinite"],
+)
+def test_bounds_arrays_expand_the_limits(bounds, stored):
+    scen = Scenario(
+        name="limits",
+        baseline=BASELINE,
+        cost=FiscalCostSpec(target=TARGETS),
+        rigidity=RigidityParams(gamma=(1, 1, 1, 1)),
+        beta=0.9,
+        horizon=10,
+        delta_bounds=bounds,
+    )
+    assert scen.delta_bounds == stored
+    lo, hi = scen.bounds_arrays()
+    expected = np.array(stored or ((-np.inf, np.inf),) * 4)
+    np.testing.assert_array_equal(lo, expected[:, 0])
+    np.testing.assert_array_equal(hi, expected[:, 1])
+    # A scenario file holds only the finite limits; a category without one has no section.
+    blocks = []
+    for cat, (low, high) in zip(CATEGORIES, expected.tolist()):
+        keys = [f"{key} = {value!r}\n" for key, value in (("min_change", low), ("max_change", high)) if np.isfinite(value)]
+        if keys:
+            blocks.append(f"[bounds.{cat.key}]\n" + "".join(keys))
+    text = serialize_scenario(scen)
+    assert text.count("[bounds.") == len(blocks)
+    assert "\n".join(blocks) in text
 
 
 def test_breakeven_spec_rejects_degenerate_fraction():
