@@ -16,7 +16,7 @@ lookup with interpolation is the least-assumption monotone mapping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from types import MappingProxyType
 from typing import Mapping, Optional, Tuple
@@ -78,15 +78,16 @@ _BREAKEVEN_CATALOG = (
 class CalibrationPreset:
     """An immutable bundle of calibrated inputs and the savings catalog.
 
-    The reform target is ``cost.target``. ``gdp_shares`` and the read-only
-    ``internal_composition`` are annotations only; the dynamics run on the
-    four-category share vector.
+    The reform target is ``cost.target``. ``rigidity`` is no argument: each
+    construction, ``replace`` too, derives it from the flexibility scores.
+    ``gdp_shares`` and the read-only ``internal_composition`` are
+    annotations only; the dynamics run on the four-category share vector.
     """
 
     name: str
     baseline: ExpenditureVector
     flexibility: Tuple[float, float, float, float]
-    rigidity: RigidityParams
+    rigidity: RigidityParams = field(init=False)
     cost: FiscalCostSpec
     beta: float
     horizon: int
@@ -96,14 +97,14 @@ class CalibrationPreset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "internal_composition", MappingProxyType(dict(self.internal_composition)))
-        if abs(self.baseline.total - 100.0) > 1e-9:
-            raise ValidationError(f"baseline shares must sum to 100, got {self.baseline.total}")
-        if abs(self.cost.target.total - 100.0) > 1e-9:
-            raise ValidationError(f"target shares must sum to 100, got {self.cost.target.total}")
-        for cat, parts in self.internal_composition.items():
-            s = sum(share for _, share in parts)
-            if abs(s - 100.0) > 1e-9:
-                raise ValidationError(f"internal composition of {cat.key} must sum to 100, got {s}")
+        composition = self.internal_composition.items()
+        totals = [("baseline shares", self.baseline.total), ("target shares", self.cost.target.total)]
+        totals += [(f"internal composition of {cat.key}", sum(s for _, s in rows)) for cat, rows in composition]
+        for label, total in totals:
+            if abs(total - 100.0) > 1e-9:
+                raise ValidationError(f"{label} must sum to 100, got {total}")
+        gamma, eta = zip(*map(rigidity_to_params, self.flexibility))
+        object.__setattr__(self, "rigidity", RigidityParams(gamma=gamma, eta=eta))
 
     def scenario(self, name: Optional[str] = None, breakeven: Optional[BreakEvenSpec] = None) -> Scenario:
         """The preset's reform transition as a runnable scenario."""
@@ -135,8 +136,6 @@ def load_default_preset() -> CalibrationPreset:
     before settling below its starting level.
     """
     baseline = ExpenditureVector(46.0, 21.0, 12.0, 21.0)
-    flexibility = (0.9, 0.8, 0.5, 0.3)
-    gamma, eta = zip(*map(rigidity_to_params, flexibility))
     cost = FiscalCostSpec(
         target=ExpenditureVector(40.0, 18.0, 18.0, 24.0),
         weights=(0.25, 0.25, 0.25, 0.25),
@@ -163,8 +162,7 @@ def load_default_preset() -> CalibrationPreset:
     return CalibrationPreset(
         name=DEFAULT_PRESET_NAME,
         baseline=baseline,
-        flexibility=flexibility,
-        rigidity=RigidityParams(gamma=gamma, eta=eta),
+        flexibility=(0.9, 0.8, 0.5, 0.3),
         cost=cost,
         beta=0.96,
         horizon=50,

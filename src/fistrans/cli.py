@@ -186,12 +186,13 @@ def _cmd_scenario_table(args: argparse.Namespace) -> int:
 def _cmd_jshape(args: argparse.Namespace) -> int:
     report = _run(args)
     scenario = report.scenario
-    # The rise condition weighs the outlay of the intended reallocation,
-    # executed at reform start, against the recurring long-run cost gain. The
-    # long-run anchor may leave the nonnegative allocations, so it stays an array.
+    # The rise condition weighs the intended reallocation's outlay at reform start
+    # against the recurring long-run cost gain. The anchor (an array: it may leave
+    # the nonnegative allocations) minimises C, so a cost there above C(x0) is roundoff.
     x0, anchor = scenario.baseline.as_array(), report.solve.anchor
     intended = float(np.sum(quad_cubic(anchor - x0, *quad_cubic_args(scenario.rigidity))[0]))
     c_x0, c_star = quad_allocation(np.array([x0, anchor]), *quad_allocation_args(scenario.cost))[0].tolist()
+    c_star = min(c_star, c_x0)
     holds = jshape_condition(intended, c_x0, c_star)
     print(f"scenario: {scenario.name}")
     print(f"intended_reallocation_outlay: {intended:.4f}")

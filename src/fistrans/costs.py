@@ -31,6 +31,7 @@ from .types import (
     FiscalCostSpec,
     ModeMismatchError,
     RigidityParams,
+    _check,
 )
 
 __all__ = [
@@ -167,17 +168,11 @@ def gradient_check(
 
     The evaluator maps a length-4 array to a CostEval. Each coordinate is
     perturbed by +/- h and the centered difference is compared against the
-    analytic entry, scaled by max(1, |analytic|).
+    analytic entry, scaled by max(1, |analytic|). A value or gradient entry
+    that is not finite makes the result nan.
     """
-    if h <= 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
+    h = _check(h, "step size", "positive")
     point = np.asarray(point, dtype=float)
     analytic = f(point).gradient
-    worst = 0.0
-    for k in range(point.size):
-        bump = np.zeros_like(point)
-        bump[k] = h
-        fd = (f(point + bump).value - f(point - bump).value) / (2.0 * h)
-        err = abs(fd - analytic[k]) / max(1.0, abs(analytic[k]))
-        worst = max(worst, err)
-    return worst
+    fd = np.array([f(point + e).value - f(point - e).value for e in h * np.eye(point.size)]) / (2.0 * h)
+    return float(np.max(np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic))))

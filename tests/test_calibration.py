@@ -110,6 +110,21 @@ def test_preset_shares_must_sum_to_hundred(field, message):
         dataclasses.replace(preset, **bad[field])
 
 
+def test_preset_curvatures_follow_its_flexibility_scores():
+    # The curvatures are derived from the scores, never given beside them, so
+    # a preset with new scores solves with the curvatures those scores map to.
+    preset = load_default_preset()
+    variant = dataclasses.replace(preset, flexibility=(0.3,) * 4)
+    assert variant.rigidity.gamma == (1.0,) * 4
+    assert variant.rigidity.eta == (0.4,) * 4
+    assert variant.scenario().rigidity == variant.rigidity
+    for score in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValidationError, match="flexibility score out of range"):
+            dataclasses.replace(preset, flexibility=(score, 0.8, 0.5, 0.3))
+    with pytest.raises(ValueError, match="rigidity"):
+        dataclasses.replace(preset, rigidity=asymmetric_variant(preset.rigidity))
+
+
 def test_breakeven_catalog_rows():
     preset = load_default_preset()
     rows = {row.name: row for row in preset.breakeven_catalog}

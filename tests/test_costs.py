@@ -5,11 +5,13 @@ import pytest
 
 from fistrans import (
     BreakEvenSpec,
+    CostEval,
     DeltaVector,
     ExpenditureVector,
     FiscalCostSpec,
     ModeMismatchError,
     RigidityParams,
+    ValidationError,
     gradient_check,
     phi,
     phi_asymmetric,
@@ -223,10 +225,25 @@ def test_gradient_check_phi_smooth_at_zero():
     assert gradient_check(f, np.zeros(4), h=1e-6) < 1e-6
 
 
-def test_gradient_check_requires_positive_step():
-    f = lambda arr: phi(DeltaVector.from_array(arr), TABLE_PARAMS)
-    with pytest.raises(ValueError):
-        gradient_check(f, np.zeros(4), h=0.0)
+@pytest.mark.parametrize("h", [0.0, -1e-6, math.nan, math.inf])
+def test_gradient_check_requires_positive_step(h):
+    # An evaluator that accepts any point: the step is rejected by its own check.
+    f = lambda arr: CostEval(float(arr @ arr), 2.0 * arr)
+    with pytest.raises(ValidationError):
+        gradient_check(f, np.zeros(4), h=h)
+
+
+def test_gradient_check_reports_what_is_not_finite():
+    # A nan anywhere is no agreement: it must not read as an exact gradient.
+    point = np.array([1.0, -1.0, 0.5, -0.5])
+    good = lambda arr: phi(DeltaVector.from_array(arr), TABLE_PARAMS)
+    nan_gradient = lambda arr: CostEval(good(arr).value, good(arr).gradient * [1.0, 1.0, np.nan, 1.0])
+    nan_value = lambda arr: CostEval(np.nan, good(arr).gradient)
+    wrong = lambda arr: CostEval(good(arr).value, good(arr).gradient + 3.0)
+    assert math.isnan(gradient_check(nan_gradient, point))
+    assert math.isnan(gradient_check(nan_value, point))
+    # The worst entry is wages': gradient -5 reported as -2, an error of 3 / 2.
+    assert gradient_check(wrong, point) == pytest.approx(1.5, rel=1e-6)
 
 
 def test_gradient_suite_hundred_random_draws():

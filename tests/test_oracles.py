@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fistrans import ExpenditureVector, SolverConfig, planner, solve
+from fistrans import CostEval, ExpenditureVector, SolverConfig, gradient_check, planner, solve
 
 from helpers import preset_scenario, random_scenario
 
@@ -81,3 +81,35 @@ def test_limit_multipliers_price_the_limits(horizon):
         relaxed = solve(dataclasses.replace(scen, delta_bounds=tuple(map(tuple, bounds))))
         assert relaxed.converged
         assert (objective - relaxed.objective) / eps == pytest.approx(price[side, k], rel=1e-3), (side, k)
+
+
+@pytest.mark.parametrize(
+    "scen",
+    [
+        *(preset_scenario(horizon) for horizon in (1, 2, 7)),
+        preset_scenario(7, asymmetric=True),
+        *(dataclasses.replace(random_scenario(np.random.default_rng(seed)), horizon=1 + seed % 8) for seed in range(20)),
+    ],
+    ids=["preset-T1", "preset-T2", "preset-T7", "asymmetric-T7", *(f"random-{seed}" for seed in range(20))],
+)
+def test_residuals_are_the_objective_gradient(scen):
+    # Row t of the residuals, times beta^t, is the objective's gradient in x_t:
+    # the stationarity formula behind every certificate, checked against
+    # central differences of the objective itself, date by date.
+    problem = planner._Problem(scen)
+    assert problem.frozen is None  # no limits, so no residual is zeroed
+    rng = np.random.default_rng(scen.horizon)
+    base = planner._initial_allocations(problem)
+    base[1:] += rng.normal(0.0, 0.5, (scen.horizon, 4))
+
+    def at_date(t):
+        def f(row):
+            path = base.copy()
+            path[t] = row
+            value, residual, _ = problem.evaluate(path)
+            return CostEval(value, problem.disc[t - 1] * residual[t - 1])
+
+        return f
+
+    for t in range(1, scen.horizon + 1):
+        assert gradient_check(at_date(t), base[t]) < 1e-6, t
