@@ -15,7 +15,6 @@ lookup with interpolation is the least-assumption monotone mapping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cache
 from types import MappingProxyType
@@ -31,6 +30,8 @@ from .types import (
     RigidityParams,
     Scenario,
     ValidationError,
+    _check,
+    _float4,
 )
 
 __all__ = [
@@ -103,8 +104,9 @@ class CalibrationPreset:
         for label, total in totals:
             if abs(total - 100.0) > 1e-9:
                 raise ValidationError(f"{label} must sum to 100, got {total}")
-        gamma, eta = zip(*map(rigidity_to_params, self.flexibility))
-        object.__setattr__(self, "rigidity", RigidityParams(gamma=gamma, eta=eta))
+        params = [rigidity_to_params(score) for score in self.flexibility] if np.iterable(self.flexibility) else []
+        object.__setattr__(self, "flexibility", _float4(self.flexibility, "flexibility"))
+        object.__setattr__(self, "rigidity", RigidityParams(*zip(*params)))
 
     def scenario(self, name: Optional[str] = None, breakeven: Optional[BreakEvenSpec] = None) -> Scenario:
         """The preset's reform transition as a runnable scenario."""
@@ -178,9 +180,7 @@ def rigidity_to_params(flexibility_score: float) -> Tuple[float, float]:
     Piecewise-linear through the four published anchors, clamped outside
     their score range, hence monotone nondecreasing in the score.
     """
-    score = float(flexibility_score)
-    if not math.isfinite(score) or not (0.0 <= score <= 1.0):
-        raise ValidationError(f"flexibility score out of range [0, 1]: {score}")
+    score = _check(flexibility_score, "flexibility score", "score")
     gamma = float(np.interp(score, _SCORE_ANCHORS, _GAMMA_ANCHORS))
     eta = float(np.interp(score, _SCORE_ANCHORS, _ETA_ANCHORS))
     return gamma, eta

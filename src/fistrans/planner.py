@@ -12,8 +12,10 @@ bounding the bias from truncating the infinite sum. Decision variables are
 the allocations x_1..x_T. Each date couples only to its neighbours, through
 the change d_t = x_t - x_{t-1}, so the Hessian is block tridiagonal and
 each Newton iteration factorises one band (Cholesky, bandwidth 4), linear
-in T. The formulas of C and Phi live in ``costs``: each trial point is
-differenced once and evaluated with both kernels, in the allocations.
+in T. ``_Objective`` holds the objective: its value and stationarity
+residuals on a path, from the ``costs`` kernels of C and Phi, which every
+caller shares. ``_NewtonSystem``, which only a solve builds from it, holds
+the band, the change limits' grids over the dates and their barrier.
 
 Every scenario runs the same damped Newton loop with an Armijo line
 search, which also takes a step whose predicted decrease the merit cannot
@@ -28,23 +30,18 @@ objective's own gradient sets the corrector's centring; without them the
 centred step is the Newton step, and no limit term is computed. A Newton
 system that does not factorise or is not finite, band or right-hand side,
 stops the loop as ``singular``. A category frozen at (0, 0) has no
-interior and is pinned to its baseline by identity rows. LAPACK comes
-from scipy's compiled extension alone, loaded at the first solve through
-``_lapack``: code that never solves imports no scipy, and a solve imports
-scipy's top-level package and that extension, not ``scipy.linalg``.
+interior and is pinned to its baseline by identity rows. LAPACK is loaded
+at the first solve (``_lapack``): code that never solves imports no scipy.
 
 A step's arithmetic is laid out for few numpy calls: on (T, 4) arrays at
 the horizons of a reform comparison, dispatch, not arithmetic, sets its
-cost. Every per-category and per-date parameter is repeated over the
-dates once per solve, so no operation broadcasts. An iterate is the whole
-path x_0..x_T, so its changes are one difference. Its plain residuals,
-those without limit multipliers, are computed once, with its evaluation;
-the stop test, the Newton and barrier gradients and the corrector's
-right-hand side each add the multiplier terms' linear part
-m_t - beta * m_{t+1} to them. The primal and dual steps to the boundary
-come from one pass over the stacked slacks and multipliers. The
-certificate reuses the loop's evaluation of the last path unless
-``Trajectory`` changed it.
+cost, so no operation broadcasts. An iterate is the whole path x_0..x_T,
+so its changes are one difference. Its plain residuals, those without
+limit multipliers, are computed once, with its evaluation; the stop test,
+the Newton and barrier gradients and the corrector's right-hand side each
+add the multiplier terms' linear part m_t - beta * m_{t+1} to them. The
+primal and dual steps to the boundary come from one pass over the stacked
+slacks and multipliers.
 
 Convergence is certified at every date by the current-value stationarity
 residuals, with multipliers for the change limits,
@@ -157,14 +154,11 @@ class SolveReport:
     anchor: np.ndarray
 
 
-class _Problem:
-    """Arrays and callables of one scenario: the objective and stationarity
-    formulas that the loop, its certificate, ``objective_value`` and
-    ``euler_residuals`` share, and the Newton system's band. C and Phi enter
-    only through their ``costs`` kernels; ``allocation`` and ``adjustment``
-    hold the arguments that ``costs`` lays out, each repeated to the shape
-    (T, 4) of the allocations so that no operation of a step broadcasts.
-    Without a ``config`` the defaults of ``SolverConfig`` apply."""
+class _Objective:
+    """A scenario's objective, under ``SolverConfig``'s defaults unless given a
+    ``config``, and the change limits its certificate checks. ``allocation`` and
+    ``adjustment`` hold the ``costs`` kernels' arguments, each repeated to the
+    shape (T, 4) of the allocations so that no operation of a step broadcasts."""
 
     def __init__(self, scenario: Scenario, config: Optional[SolverConfig] = None):
         config = self.config = config if config is not None else SolverConfig()
@@ -173,47 +167,26 @@ class _Problem:
         beta = self.beta = scenario.beta
         self.disc = beta ** np.arange(1, T + 1)
         allocation = quad_allocation_args(scenario.cost)
-        self.hess = quad_allocation_hessian(allocation[0], allocation[2])
         self.anchor = quad_allocation_minimum(*allocation)
         self.anchor.flags.writeable = False  # the report hands it out
         self.value0 = float(quad_allocation(self.x0, *allocation)[0])
         self.wT = config.terminal_weight
         self.tail_weight = (beta**T) * self.wT
         # The change limits as a pair, lower then upper: a limit's slack is
-        # sign * (d - limit). ``has`` marks the finite limits of free categories.
+        # sign * (d - limit). ``finite`` marks the finite limits of free categories.
         lo, hi = scenario.bounds_arrays()
-        frozen = lo == hi
-        self.free = ~frozen
-        self.frozen = frozen if frozen.any() else None  # None: no mask to apply
+        self.free = lo != hi
+        self.frozen = None if self.free.all() else ~self.free  # None: no mask to apply
         self.limits = np.array([lo, hi])[:, None, :]
         self.sign = np.array([1.0, -1.0])[:, None, None]
-        has = np.isfinite(self.limits[:, 0]) & self.free
-        self.n_limits = T * np.count_nonzero(has)
-        # Every per-category parameter, repeated over the dates.
-        per_category = [*quad_cubic_args(scenario.rigidity), *allocation[:2], np.diagonal(self.hess)]
-        per_category += [-np.sqrt(beta) * self.free, *has, *(self.sign[:, 0] * has)]
-        grid = np.empty((len(per_category), T, N_CATEGORIES))
-        grid[:] = np.array(per_category, dtype=float)[:, None, :]
+        self.finite = np.isfinite(self.limits) & self.free
+        # Every per-category parameter repeated over the dates, and the discount over the categories.
+        grid = np.empty((6, T, N_CATEGORIES))
+        grid[:5] = np.array([*quad_cubic_args(scenario.rigidity), *allocation[:2]], dtype=float)[:, None, :]
+        grid[5] = self.disc[:, None]
         self.adjustment = (grid[0], grid[1], grid[2])
         self.allocation = (grid[3], grid[4], *allocation[2:])
-        self.base, self.coupling = grid[5], grid[6]
-        self.has, self.orient = grid[7:9], grid[9:11]
-        # Every per-date factor, repeated over the categories (and limits): the
-        # discount, and the scaling beta^(t/2) of the Newton system.
-        dates = np.empty((3, T, N_CATEGORIES))
-        dates[:] = np.array([self.disc, self.disc, beta ** (np.arange(1, T + 1) / 2.0)])[:, :, None]
-        self.disc_pair, self.root = dates[:2], dates[2]
-        self.neg_root = -self.root
-        # The Hessian band's entries that no iterate changes; ``band`` fills in the
-        # rest. Row 0 couples (t-1, k) with (t, k); entry (i, j), i < j, of C's Hessian,
-        # without the couplings of frozen categories, sits in row 4 - (j - i), column j;
-        # row 4 is the diagonal, to which each date's next curvature ``nxt`` adds
-        # (date T's: the anchor's). ``flat`` is the band as LAPACK reads it.
-        i, j = _UPPER
-        self.ab = np.zeros((N_CATEGORIES + 1, T, N_CATEGORIES))
-        self.ab[N_CATEGORIES - (j - i), :, j] = (self.hess[i, j] * (self.free[i] & self.free[j]))[:, None]
-        self.flat = self.ab.reshape(N_CATEGORIES + 1, T * N_CATEGORIES)
-        self.nxt = np.full((T, N_CATEGORIES), 2.0 * self.wT)
+        self.disc_grid = grid[5]
 
     def evaluate(self, path: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
         """Objective on the path x_0..x_T (x_0 the baseline); the plain
@@ -223,7 +196,7 @@ class _Problem:
         phi, marg, curv = quad_cubic(x - path[:-1], *self.adjustment)
         stage, residual = quad_allocation(x, *self.allocation)
         tail = x[-1] - self.anchor
-        value = self.value0 + float(np.dot(self.disc, stage)) + float(np.vdot(self.disc_pair[0], phi))
+        value = self.value0 + float(np.dot(self.disc, stage)) + float(np.vdot(self.disc_grid, phi))
         # Row t divided by beta^t: the stage gradient, this change's marginal
         # cost less the discounted next one, and on date T the anchor's pull.
         residual += marg
@@ -242,6 +215,36 @@ class _Problem:
         m += residual
         return m
 
+
+class _NewtonSystem:
+    """The Newton system of an objective: its band, and the (lower, upper) grids
+    over the dates of the finite limits (``has``) and their signs (``orient``)."""
+
+    def __init__(self, objective: _Objective):
+        self.objective = objective
+        T, free = objective.T, objective.free
+        hess = quad_allocation_hessian(objective.allocation[0][0], objective.allocation[2])
+        has = objective.finite[:, 0]
+        self.n_limits = T * np.count_nonzero(has)
+        # Every per-category parameter repeated over the dates, then every per-date factor
+        # over the categories: the discount of each limit, and the scaling beta^(t/2).
+        per_category = [np.diagonal(hess), -np.sqrt(objective.beta) * free, *has, *(objective.sign[:, 0] * has)]
+        grid = np.empty((9, T, N_CATEGORIES))
+        grid[:6] = np.array(per_category, dtype=float)[:, None, :]
+        grid[6:] = np.array([objective.disc, objective.disc, objective.beta ** (np.arange(1, T + 1) / 2.0)])[:, :, None]
+        self.base, self.coupling, self.has, self.orient = grid[0], grid[1], grid[2:4], grid[4:6]
+        self.disc_pair, self.root, self.neg_root = grid[6:8], grid[8], -grid[8]
+        # The Hessian band's entries that no iterate changes; ``band`` fills in the
+        # rest. Row 0 couples (t-1, k) with (t, k); entry (i, j), i < j, of C's Hessian,
+        # without the couplings of frozen categories, sits in row 4 - (j - i), column j;
+        # row 4 is the diagonal, to which each date's next curvature ``nxt`` adds
+        # (date T's: the anchor's). ``flat`` is the band as LAPACK reads it.
+        i, j = _UPPER
+        self.ab = np.zeros((N_CATEGORIES + 1, T, N_CATEGORIES))
+        self.ab[N_CATEGORIES - (j - i), :, j] = (hess[i, j] * (free[i] & free[j]))[:, None]
+        self.flat = self.ab.reshape(N_CATEGORIES + 1, T * N_CATEGORIES)
+        self.nxt = np.full((T, N_CATEGORIES), 2.0 * objective.wT)
+
     def log_barrier(self, mu: np.ndarray, slack: np.ndarray) -> float:
         """Discounted sum of mu * log(slack) over dates and limits."""
         return float(np.vdot(self.disc_pair, mu * np.log(slack)))
@@ -251,16 +254,16 @@ class _Problem:
         current-value curvature of each change. Rows and columns of date t
         are scaled by beta^(-t/2), which leaves every entry of order one.
         Filled in place: each call overwrites the previous call's band."""
-        ab, nxt = self.ab, self.nxt
+        ab, nxt, frozen = self.ab, self.nxt, self.objective.frozen
         diag = ab[N_CATEGORIES]
         np.multiply(curv[1:], self.coupling[1:], out=ab[0, 1:])
-        np.multiply(curv[1:], self.beta, out=nxt[:-1])
+        np.multiply(curv[1:], self.objective.beta, out=nxt[:-1])
         np.add(self.base, curv, out=diag)
         diag += nxt
         diag *= 1.0 + _RIDGE
         diag += _RIDGE
-        if self.frozen is not None:
-            np.copyto(diag, 1.0, where=self.frozen)
+        if frozen is not None:
+            np.copyto(diag, 1.0, where=frozen)
         return self.flat
 
 
@@ -271,19 +274,14 @@ def stage_cost_minimizer(scenario: Scenario) -> np.ndarray:
     return quad_allocation_minimum(*quad_allocation_args(scenario.cost))
 
 
-def _initial_allocations(problem: _Problem) -> np.ndarray:
+def _initial_allocations(objective: _Objective) -> np.ndarray:
     """The path x_0..x_T of the configured guess, moved strictly inside every finite change limit."""
-    if problem.config.initial_guess == "hold":
-        step = np.zeros(N_CATEGORIES)
-    else:
-        step = (problem.anchor - problem.x0) / problem.T
-    lo, hi = problem.limits[:, 0]
+    step = 0.0 if objective.config.initial_guess == "hold" else (objective.anchor - objective.x0) / objective.T
+    lo, hi = objective.limits[:, 0]
     margin = np.minimum(0.25 * (hi - lo), _START_MARGIN)
-    d0 = np.empty((problem.T, N_CATEGORIES))
-    d0[:] = np.clip(step, lo + margin, hi - margin)
-    path = np.empty((problem.T + 1, N_CATEGORIES))
-    path[0] = problem.x0
-    np.add(problem.x0, np.cumsum(d0, axis=0), out=path[1:])
+    path = np.empty((objective.T + 1, N_CATEGORIES))
+    path[0], path[1:] = objective.x0, np.clip(step, lo + margin, hi - margin)
+    np.add(objective.x0, np.cumsum(path[1:], axis=0), out=path[1:])
     return path
 
 
@@ -310,8 +308,8 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
             f"beta = {scenario.beta} and T = {scenario.horizon} put beta^(T/2) below "
             "the smallest normal float; the late dates cannot be solved"
         )
-    problem = _Problem(scenario, config)
-    return _certify(problem, *_newton(problem))
+    objective = _Objective(scenario, config)
+    return _certify(objective, *_newton(_NewtonSystem(objective)))
 
 
 @cache
@@ -352,18 +350,18 @@ def _factorise(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return back_solve
 
 
-def _limit_steps(problem: _Problem, dpath: np.ndarray, z: np.ndarray, z_over_s, target_over_s, out: np.ndarray) -> None:
+def _limit_steps(system: _NewtonSystem, dpath: np.ndarray, z: np.ndarray, z_over_s, target_over_s, out: np.ndarray) -> None:
     """The slack and multiplier steps (ds, dz) of the path step ``dpath``, into
     ``out``: dz = target / s - z - (z / s) * ds. The change step is the first
     difference of the path step; differencing two iterates would lose it to
     cancellation."""
     ds, dz = out
-    np.multiply(problem.orient, dpath[1:] - dpath[:-1], out=ds)
+    np.multiply(system.orient, dpath[1:] - dpath[:-1], out=ds)
     np.multiply(z_over_s, ds, out=dz)
     np.subtract(target_over_s - z, dz, out=dz)
 
 
-def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str, tuple]:
+def _newton(system: _NewtonSystem) -> Tuple[np.ndarray, np.ndarray, List[float], str, tuple]:
     """Damped Newton / interior-point loop from the first guess: the last path
     x_0..x_T, the multipliers, the objective history, why it stopped, and the
     last path's ``evaluate``. Every iteration takes the centred step unless
@@ -372,20 +370,21 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
     # evaluation, or a multiplier's z / s late in a degenerate solve, can
     # overflow; the loop then stops as singular. None of this is a warning.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cfg = problem.config
-        has, root, neg_root, n_limits = problem.has, problem.root, problem.neg_root, problem.n_limits
+        objective = system.objective
+        cfg = objective.config
+        has, root, neg_root, n_limits = system.has, system.root, system.neg_root, system.n_limits
         dual_tol = min(_DUAL_TOL, cfg.gradient_tol)
 
-        path = _initial_allocations(problem)
+        path = _initial_allocations(objective)
         # Slacks and multipliers are carried as iterates, stacked (slacks,
         # multipliers) and each (lower, upper); columns without a limit hold slack
         # 1 and multiplier 0, so they drop out of every formula. Recomputing a
         # slack from the changes would round to zero near an active limit.
         # Without any finite limit every limit term is an exact zero, and the loop
         # skips them: carrying them made unbounded solves 36-45% slower (2-vCPU Xeon).
-        sz = np.empty((2, 2, problem.T, N_CATEGORIES))
+        sz = np.empty((2, 2, objective.T, N_CATEGORIES))
         s, z = sz
-        np.copyto(s, np.where(has, problem.sign * (path[1:] - path[:-1] - problem.limits), 1.0))
+        np.copyto(s, np.where(has, objective.sign * (path[1:] - path[:-1] - objective.limits), 1.0))
         np.copyto(z, has)
         dsz = np.empty_like(sz)
         ds, dz = dsz
@@ -393,12 +392,12 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
         dpath = np.zeros_like(path)
         dx = dpath[1:]
 
-        evaluation = problem.evaluate(path)
+        evaluation = objective.evaluate(path)
         value, residual, curv = evaluation
         history: List[float] = [value]
         for _ in range(cfg.max_iterations):
             settled = not n_limits or (s * np.minimum(z, 1.0)).max() <= _COMP_TOL
-            if settled and np.abs(problem.with_multipliers(residual, z) if n_limits else residual).max() <= dual_tol:
+            if settled and np.abs(objective.with_multipliers(residual, z) if n_limits else residual).max() <= dual_tol:
                 return path, z, history, "converged", evaluation
 
             # Every Newton step of this iterate shares one factorisation; the
@@ -407,7 +406,7 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
                 z_over_s = z / s
                 curv = curv + z_over_s[0] + z_over_s[1]
             try:
-                back_solve = _factorise(problem.band(curv))
+                back_solve = _factorise(system.band(curv))
                 slope = 0.0
                 if not n_limits:
                     mu_over_s, grad = None, root * residual
@@ -427,7 +426,7 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
                         # second-order term ds * dz from each limit's floored target
                         # sigma * mu.
                         np.divide(back_solve(neg_root * residual), root, out=dx)
-                        _limit_steps(problem, dpath, z, z_over_s, 0.0, dsz)
+                        _limit_steps(system, dpath, z, z_over_s, 0.0, dsz)
                         affine = sz + np.array(_step_to_boundary(sz, dsz))[:, None, None, None] * dsz
                         mu = float(np.vdot(s, z)) / n_limits
                         sigma = (float(np.vdot(affine[0], affine[1])) / n_limits / mu) ** 3
@@ -436,10 +435,10 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
                     # The line search's merit is the barrier at the floored targets,
                     # and its gradient judges descent.
                     mu_over_s = target / s
-                    grad = root * problem.with_multipliers(residual, mu_over_s)
+                    grad = root * objective.with_multipliers(residual, mu_over_s)
                     if correction is not None:
                         target_over_s = mu_over_s - correction
-                        step = back_solve(neg_root * problem.with_multipliers(residual, target_over_s))
+                        step = back_solve(neg_root * objective.with_multipliers(residual, target_over_s))
                         slope = float(np.vdot(grad, step))
                 # The centred step, wherever no corrector descends; without limits,
                 # the objective's Newton step and the iteration's only back-solve.
@@ -457,16 +456,16 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
             # pass, so late dates, whose weight beta^t sits below it, still move,
             # and so does a step whose predicted decrease the merit cannot resolve.
             if n_limits:
-                _limit_steps(problem, dpath, z, z_over_s, target_over_s, dsz)
+                _limit_steps(system, dpath, z, z_over_s, target_over_s, dsz)
                 alpha, alpha_z = _step_to_boundary(sz, dsz)
-                merit = value - problem.log_barrier(target, s)
+                merit = value - system.log_barrier(target, s)
             else:
                 alpha, merit = 1.0, value
             resolution = 1e-15 * (1.0 + abs(merit))
             for _ in range(_MAX_BACKTRACKS):
                 trial_path = path + alpha * dpath
-                trial = problem.evaluate(trial_path)
-                merit_new = trial[0] - problem.log_barrier(target, s + alpha * ds) if n_limits else trial[0]
+                trial = objective.evaluate(trial_path)
+                merit_new = trial[0] - system.log_barrier(target, s + alpha * ds) if n_limits else trial[0]
                 if merit_new <= merit + _ARMIJO_C1 * alpha * slope + resolution or -alpha * slope <= resolution:
                     break
                 alpha *= 0.5
@@ -486,7 +485,7 @@ def _newton(problem: _Problem) -> Tuple[np.ndarray, np.ndarray, List[float], str
 
 
 def _certify(
-    problem: _Problem,
+    objective: _Objective,
     path: np.ndarray,
     z: np.ndarray,
     history: List[float],
@@ -504,20 +503,20 @@ def _certify(
     with np.errstate(over="ignore", invalid="ignore"):
         trajectory = Trajectory(np.maximum(path, 0.0) if stopped == "singular" else path)
         if evaluation is None or not np.array_equal(trajectory.values, path):
-            evaluation = problem.evaluate(trajectory.values)
-        objective, residual, _ = evaluation
+            evaluation = objective.evaluate(trajectory.values)
+        value, residual, _ = evaluation
         # Each limit's slack, negative where the limit is violated; |slack| * min(z, 1) is its complementarity.
         values = trajectory.values
-        gap = problem.sign * (values[1:] - values[:-1] - problem.limits)
-        comp = np.abs(np.where(problem.has, gap, 0.0)) * np.minimum(z, 1.0)
-        residuals = np.abs(problem.with_multipliers(residual, z))
+        gap = objective.sign * (values[1:] - values[:-1] - objective.limits)
+        comp = np.abs(np.where(objective.finite, gap, 0.0)) * np.minimum(z, 1.0)
+        residuals = np.abs(objective.with_multipliers(residual, z))
         # An overflowed marginal cost leaves inf - inf: that date is not certified.
         np.copyto(residuals, np.inf, where=np.isnan(residuals))
         grad_norm = float(np.max(residuals))
-        max_residual = float(np.max(residuals[:-1])) if problem.T >= 2 else 0.0
+        max_residual = float(np.max(residuals[:-1])) if objective.T >= 2 else 0.0
         violation = max(0.0, float(np.max(-gap)))
 
-        cfg = problem.config
+        cfg = objective.config
         converged = bool(
             grad_norm <= cfg.gradient_tol
             and max_residual <= cfg.euler_tol
@@ -528,13 +527,13 @@ def _certify(
         return SolveReport(
             converged=converged,
             iterations=len(history) - 1,
-            objective=objective,
+            objective=value,
             gradient_norm=grad_norm,
             max_euler_residual=max_residual,
             trajectory=trajectory,
             objective_history=tuple(history),
             termination="converged" if converged else stopped,
-            anchor=problem.anchor,
+            anchor=objective.anchor,
         )
 
 
@@ -549,10 +548,10 @@ def objective_value(trajectory: Trajectory, scenario: Scenario, config: Optional
         raise ValidationError(
             f"trajectory horizon {trajectory.horizon} does not match scenario horizon {scenario.horizon}"
         )
-    problem = _Problem(scenario, config)
-    if not np.array_equal(trajectory.values[0], problem.x0):
-        raise ValidationError(f"trajectory does not start at the scenario's baseline {problem.x0.tolist()}")
-    return problem.evaluate(trajectory.values)[0]
+    objective = _Objective(scenario, config)
+    if not np.array_equal(trajectory.values[0], objective.x0):
+        raise ValidationError(f"trajectory does not start at the scenario's baseline {objective.x0.tolist()}")
+    return objective.evaluate(trajectory.values)[0]
 
 
 def euler_residuals(traj: Trajectory, scenario: Scenario) -> np.ndarray:
@@ -564,9 +563,8 @@ def euler_residuals(traj: Trajectory, scenario: Scenario) -> np.ndarray:
     """
     if traj.horizon < 2:
         raise ValidationError(f"residual check needs at least 3 trajectory rows, got {traj.horizon + 1}")
-    problem = _Problem(replace(scenario, baseline=traj.at(0), delta_bounds=None, horizon=traj.horizon))
-    # The anchor's pull enters only the date-T row, which is not returned.
-    return problem.evaluate(traj.values)[1][:-1]
+    objective = _Objective(replace(scenario, baseline=traj.at(0), delta_bounds=None, horizon=traj.horizon))
+    return objective.evaluate(traj.values)[1][:-1]  # date T's row, with the anchor's pull, is left out
 
 
 def gradualism_metric(traj: Trajectory, x_star: ExpenditureVector | np.ndarray) -> float:

@@ -67,8 +67,8 @@ _NEG_TOL = 1e-9
 
 def _check(value, what: str, kind: str = "finite"):
     """The one field check: ``value`` must be a finite number of one ``kind``,
-    "finite", "nonnegative", "positive", "fraction" (inside (0, 1)) or "count"
-    (an integer >= 1). Returns a float, or an int for a count (5.0 becomes 5)."""
+    "finite", "nonnegative", "positive", "fraction" (in (0, 1)), "score" (in
+    [0, 1]) or "count" (an integer >= 1). Returns a float, or an int for a count."""
     try:
         v = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -80,6 +80,8 @@ def _check(value, what: str, kind: str = "finite"):
     if kind == "fraction":
         if not 0.0 < v < 1.0:
             raise ValidationError(f"{what} out of range (0, 1): {v}")
+    elif kind == "score" and not 0.0 <= v <= 1.0:
+        raise ValidationError(f"{what} out of range [0, 1]: {v}")
     elif not math.isfinite(v):
         raise ValidationError(f"{what} must be finite, got {v}")
     elif kind == "nonnegative" and v < 0.0:

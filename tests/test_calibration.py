@@ -121,8 +121,26 @@ def test_preset_curvatures_follow_its_flexibility_scores():
     for score in (1.5, -0.1, float("nan")):
         with pytest.raises(ValidationError, match="flexibility score out of range"):
             dataclasses.replace(preset, flexibility=(score, 0.8, 0.5, 0.3))
+    with pytest.raises(ValidationError, match="flexibility score must be a number"):
+        dataclasses.replace(preset, flexibility=("high", 0.8, 0.5, 0.3))
     with pytest.raises(ValueError, match="rigidity"):
         dataclasses.replace(preset, rigidity=asymmetric_variant(preset.rigidity))
+
+
+@pytest.mark.parametrize("scores", [[0.3] * 4, ("0.3",) * 4, ()], ids=["list", "strings", "empty"])
+def test_flexibility_is_stored_as_four_floats(scores):
+    # Scores are checked like every other four-category field: a list or
+    # numeric strings become a tuple of floats, a wrong count is a
+    # ValidationError that names the field.
+    preset = load_default_preset()
+    if not scores:
+        with pytest.raises(ValidationError, match="flexibility must have exactly 4 entries"):
+            dataclasses.replace(preset, flexibility=scores)
+        return
+    variant = dataclasses.replace(preset, flexibility=scores)
+    assert type(variant.flexibility) is tuple and variant.flexibility == (0.3,) * 4
+    assert all(type(score) is float for score in variant.flexibility)
+    assert variant.rigidity == dataclasses.replace(preset, flexibility=(0.3,) * 4).rigidity
 
 
 def test_breakeven_catalog_rows():

@@ -6,7 +6,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fistrans import CostEval, ExpenditureVector, SolverConfig, gradient_check, planner, solve
+from fistrans import (
+    CostEval,
+    ExpenditureVector,
+    SolverConfig,
+    euler_residuals,
+    gradient_check,
+    objective_value,
+    planner,
+    solve,
+)
 
 from helpers import preset_scenario, random_scenario
 
@@ -69,9 +78,9 @@ def test_limit_multipliers_price_the_limits(horizon):
     # its present-value multiplier, sum_t beta^t z_{t,k}, up to O(eps^2).
     eps = 1e-5
     scen = preset_scenario(horizon, 0.5)
-    problem = planner._Problem(scen, SolverConfig())
-    z = planner._newton(problem)[1]
-    price = np.einsum("t,stk->sk", problem.disc, z)
+    system = planner._NewtonSystem(planner._Objective(scen, SolverConfig()))
+    z = planner._newton(system)[1]
+    price = np.einsum("t,stk->sk", system.objective.disc, z)
     objective = solve(scen).objective
     active = np.argwhere(price > 1e-8)
     assert len(active) == 3  # transfers' and wages' lower limits, investment's upper
@@ -96,20 +105,50 @@ def test_residuals_are_the_objective_gradient(scen):
     # Row t of the residuals, times beta^t, is the objective's gradient in x_t:
     # the stationarity formula behind every certificate, checked against
     # central differences of the objective itself, date by date.
-    problem = planner._Problem(scen)
-    assert problem.frozen is None  # no limits, so no residual is zeroed
+    for t, error in enumerate(_difference_errors(scen), start=1):
+        assert error < 1e-6, t
+
+
+def _difference_errors(scen):
+    """Per date t = 1..T, ``gradient_check``'s error of beta^t times row t of
+    the residuals against central differences of the objective in x_t, at the
+    first guess plus a seeded perturbation."""
+    objective = planner._Objective(scen)
+    assert objective.frozen is None  # no limits, so no residual is zeroed
     rng = np.random.default_rng(scen.horizon)
-    base = planner._initial_allocations(problem)
+    base = planner._initial_allocations(objective)
     base[1:] += rng.normal(0.0, 0.5, (scen.horizon, 4))
 
     def at_date(t):
         def f(row):
             path = base.copy()
             path[t] = row
-            value, residual, _ = problem.evaluate(path)
-            return CostEval(value, problem.disc[t - 1] * residual[t - 1])
+            value, residual, _ = objective.evaluate(path)
+            return CostEval(value, objective.disc[t - 1] * residual[t - 1])
 
         return f
 
-    for t in range(1, scen.horizon + 1):
-        assert gradient_check(at_date(t), base[t]) < 1e-6, t
+    return [gradient_check(at_date(t), base[t]) for t in range(1, scen.horizon + 1)]
+
+
+def test_the_objective_side_builds_no_newton_system(monkeypatch):
+    # objective_value, euler_residuals and the difference oracle read the
+    # objective alone: none builds the Newton system, its band buffers or its
+    # (2, T, 4) limit grids, and no array of the objective holds more than
+    # one entry per date and category.
+    scen = preset_scenario(50)
+    trajectory = solve(scen).trajectory
+    expected = objective_value(trajectory, scen), euler_residuals(trajectory, scen), _difference_errors(scen)
+
+    def refuse(system, objective):
+        raise AssertionError("built a Newton system")
+
+    monkeypatch.setattr(planner._NewtonSystem, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built a Newton system"):
+        solve(scen)
+    assert objective_value(trajectory, scen) == expected[0]
+    assert np.array_equal(euler_residuals(trajectory, scen), expected[1])
+    assert _difference_errors(scen) == expected[2] and max(expected[2]) < 1e-6
+    held = vars(planner._Objective(scen)).values()
+    arrays = [v for value in held for v in (value if isinstance(value, tuple) else (value,))]
+    assert max(np.size(v) for v in arrays if isinstance(v, np.ndarray)) == scen.horizon * 4

@@ -608,15 +608,15 @@ def test_a_seeded_corpus_keeps_its_iteration_counts():
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """The number of ``_Problem.evaluate`` calls so far, as a list of ones."""
+    """The number of ``_Objective.evaluate`` calls so far, as a list of ones."""
     calls = []
-    evaluate = planner._Problem.evaluate
+    evaluate = planner._Objective.evaluate
 
-    def counted(problem, path):
+    def counted(objective, path):
         calls.append(1)
-        return evaluate(problem, path)
+        return evaluate(objective, path)
 
-    monkeypatch.setattr(planner._Problem, "evaluate", counted)
+    monkeypatch.setattr(planner._Objective, "evaluate", counted)
     return calls
 
 
@@ -628,24 +628,36 @@ def test_a_solve_evaluates_its_first_guess_and_each_trial_point_once(evaluations
     report = solve(scen)
     assert report.converged
     assert len(evaluations) == report.iterations + 1
-    problem = planner._Problem(scen, SolverConfig())
-    result = planner._newton(problem)
+    objective = planner._Objective(scen, SolverConfig())
+    result = planner._newton(planner._NewtonSystem(objective))
     del evaluations[:]
     # A path that Trajectory lifts to zero where it sits within roundoff below
     # it is evaluated again, as lifted.
     path = result[0].copy()
     path[-1, 0] = -1e-12
-    lifted = planner._certify(problem, path, *result[1:])
+    lifted = planner._certify(objective, path, *result[1:])
     assert len(evaluations) == 1 and lifted.trajectory.values[-1, 0] == 0.0
     assert lifted.objective == objective_value(lifted.trajectory, scen)
 
 
+@pytest.mark.parametrize("horizon", [50, 1000])
+@pytest.mark.parametrize(
+    "bound, asymmetric", [(None, False), (0.5, False), (None, True)], ids=["preset", "preset-0.5", "asymmetric"]
+)
+def test_the_reported_objective_is_objective_value_to_the_bit(horizon, bound, asymmetric):
+    # The loop's evaluation of its last path and objective_value's fresh
+    # objective compute the same formula on the same arrays.
+    scen = preset_scenario(horizon, bound, asymmetric)
+    report = solve(scen)
+    assert report.objective == objective_value(report.trajectory, scen)
+
+
 @pytest.mark.parametrize("bound", [None, 0.5])
 def test_the_certificate_from_the_loops_evaluation_matches_a_fresh_one(bound):
-    problem = planner._Problem(preset_scenario(50, bound), SolverConfig())
-    path, z, history, stopped, evaluation = planner._newton(problem)
-    reused = planner._certify(problem, path, z, history, stopped, evaluation)
-    fresh = planner._certify(problem, path, z, history, stopped)
+    objective = planner._Objective(preset_scenario(50, bound), SolverConfig())
+    path, z, history, stopped, evaluation = planner._newton(planner._NewtonSystem(objective))
+    reused = planner._certify(objective, path, z, history, stopped, evaluation)
+    fresh = planner._certify(objective, path, z, history, stopped)
     for field in dataclasses.fields(SolveReport):
         mine, theirs = getattr(reused, field.name), getattr(fresh, field.name)
         if isinstance(mine, Trajectory):
@@ -770,9 +782,9 @@ def test_one_banded_factorisation_per_step(monkeypatch, case):
 def test_factorisation_solves_like_solveh_banded():
     # The same LAPACK routines as scipy's solveh_banded, so the same bits.
     scen = preset_scenario(50)
-    problem = planner._Problem(scen, SolverConfig())
-    curv = problem.evaluate(planner._initial_allocations(problem))[-1]
-    band = problem.band(curv)
+    objective = planner._Objective(scen, SolverConfig())
+    curv = objective.evaluate(planner._initial_allocations(objective))[-1]
+    band = planner._NewtonSystem(objective).band(curv)
     rhs = np.random.default_rng(3).standard_normal(band.shape[1])
     assert np.array_equal(planner._factorise(band)(rhs), sla.solveh_banded(band, rhs))
     assert planner._lapack()[0] is sla.lapack.dpbtrf
@@ -798,8 +810,8 @@ def test_scipy_linalg_imported_after_a_solve_runs_the_same_routines():
         assert solve(scen).converged and "scipy.linalg" not in sys.modules
         import scipy.linalg as sla
 
-        problem = planner._Problem(scen, SolverConfig())
-        band = problem.band(problem.evaluate(planner._initial_allocations(problem))[-1])
+        objective = planner._Objective(scen, SolverConfig())
+        band = planner._NewtonSystem(objective).band(objective.evaluate(planner._initial_allocations(objective))[-1])
         rhs = np.random.default_rng(3).standard_normal(band.shape[1])
         same = np.array_equal(planner._factorise(band)(rhs), sla.solveh_banded(band, rhs))
         print((same, planner._lapack()[0] is sla.lapack.dpbtrf, planner._lapack()[1] is sla.lapack.dpbtrs))
@@ -835,8 +847,8 @@ def test_termination_says_why_the_solve_stopped(expected, bounds, cfg):
 
 def test_termination_reports_a_singular_band(monkeypatch):
     # A band that is not positive definite fails the real factorisation.
-    band = planner._Problem.band
-    monkeypatch.setattr(planner._Problem, "band", lambda problem, curv: -band(problem, curv))
+    band = planner._NewtonSystem.band
+    monkeypatch.setattr(planner._NewtonSystem, "band", lambda system, curv: -band(system, curv))
     report = solve(load_default_preset().scenario())
     assert (report.termination, report.converged, report.iterations) == ("singular", False, 0)
 
@@ -858,7 +870,7 @@ def test_exhausted_backtracking_is_a_stalled_line_search(monkeypatch, capsys):
         report = solve(scenario)
         code = run_cli(["simulate", "--preset", "paper-default"])
     assert (report.termination, report.converged, report.iterations) == ("line_search_stalled", False, 0)
-    first_guess = planner._initial_allocations(planner._Problem(scenario, SolverConfig()))
+    first_guess = planner._initial_allocations(planner._Objective(scenario, SolverConfig()))
     assert np.array_equal(report.trajectory.values, first_guess)
     assert code == EXIT_NOT_CONVERGED
     assert "line_search_stalled after 0 iterations" in capsys.readouterr().err
