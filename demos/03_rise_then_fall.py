@@ -13,15 +13,12 @@ from fistrans import (
     ExpenditureVector,
     RigidityParams,
     Scenario,
-    adjustment_cost,
-    baseline_gap,
     effective_expenditure,
     gradualism_metric,
     jshape_classify,
     jshape_condition,
     load_default_preset,
     solve,
-    stage_cost,
     stage_cost_minimizer,
 )
 
@@ -41,13 +38,10 @@ print(f"peak at year {verdict.peak_index} ({verdict.peak_value:.3f}), terminal {
 
 # The rise condition: executing the intended reallocation at once would
 # cost more than one year of the long-run cost gain.
-long_run = ExpenditureVector.from_array(stage_cost_minimizer(scenario))
-outlay = adjustment_cost(baseline_gap(long_run, scenario.baseline), scenario.rigidity).value
-cost_now = stage_cost(scenario.baseline, scenario.cost).value
-cost_then = stage_cost(long_run, scenario.cost).value
+outlay, gain, holds = jshape_condition(scenario)
 print(f"\nintended reallocation outlay: {outlay:.2f}")
-print(f"recurring long-run cost gain: {cost_now - cost_then:.2f}")
-print(f"outlay exceeds gain (rise condition): {jshape_condition(outlay, cost_now, cost_then)}")
+print(f"recurring long-run cost gain: {gain:.2f}")
+print(f"outlay exceeds gain (rise condition): {holds}")
 
 print("\nscaling every (gamma, eta) by c > 1 slows the transition:")
 for scale in (1.0, 2.0, 4.0):

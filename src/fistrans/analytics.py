@@ -12,16 +12,17 @@ turn nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .costs import quad_cubic, quad_cubic_args
+from .costs import quad_allocation, quad_allocation_args, quad_allocation_minimum, quad_cubic, quad_cubic_args
 from .types import (
     BreakEvenSpec,
     DeltaVector,
     ExpenditureVector,
     RigidityParams,
+    Scenario,
     Trajectory,
     ValidationError,
     delta,
@@ -39,7 +40,7 @@ __all__ = [
     "savings_series",
 ]
 
-# Absolute tolerance for peak/terminal comparisons in the shape classifier.
+# Absolute tolerance of the shape classifier's comparisons and of the rise condition.
 _SHAPE_TOL = 1e-9
 
 
@@ -127,18 +128,21 @@ def jshape_classify(series: Sequence[float]) -> JShapeVerdict:
     return JShapeVerdict(bool(is_j), peak_index, peak_value, terminal)
 
 
-def jshape_condition(phi_at_first_step: float, c_at_x0: float, c_at_xstar: float) -> bool:
-    """Whether the first-year adjustment outlay exceeds the long-run cost gain.
-
-    When true for a solved trajectory, effective expenditure rises in year 1
-    before the reform's gains pull it back down. Requires the reform to
-    improve the long run (c_at_x0 >= c_at_xstar).
+def jshape_condition(scenario: Scenario) -> Tuple[float, float, bool]:
+    """The rise condition, (outlay, gain, holds): whether moving from the baseline
+    to the long-run anchor, the minimum of C, in one year costs more than one
+    year of the long-run cost gain, beyond 1e-9. The anchor is evaluated as an
+    array, so one below zero in some category is too; a gain below zero is
+    roundoff and reads 0. When the condition holds for a solved trajectory,
+    effective expenditure rises in year 1 before the reform's gains pull it down.
     """
-    if c_at_x0 < c_at_xstar:
-        raise ValidationError(
-            f"long-run cost must not exceed the initial cost, got {c_at_xstar} > {c_at_x0}"
-        )
-    return phi_at_first_step > c_at_x0 - c_at_xstar
+    x0 = scenario.baseline.as_array()
+    allocation = quad_allocation_args(scenario.cost)
+    anchor = quad_allocation_minimum(*allocation)
+    outlay = float(np.sum(quad_cubic(anchor - x0, *quad_cubic_args(scenario.rigidity))[0]))
+    c_x0, c_anchor = quad_allocation(np.array([x0, anchor]), *allocation)[0].tolist()
+    gain = max(c_x0 - c_anchor, 0.0)
+    return outlay, gain, outlay > gain + _SHAPE_TOL
 
 
 def baseline_gap(x: ExpenditureVector, baseline: ExpenditureVector) -> DeltaVector:

@@ -13,9 +13,9 @@ Subcommands:
 
 Every subcommand but ``scenario-table`` accepts ``--preset NAME`` in place of
 a file, not beside one; without either it runs the default preset, except
-``validate``, which needs one of them. Exit codes:
-0 on success, 1 on invalid input (validation, syntax or usage errors,
-unreadable files), 2 on solver non-convergence. Diagnostics go to stderr.
+``validate``, which needs one of them. Exit codes: 0 on success, 1 on invalid
+input (validation, syntax or usage errors, unreadable files, sizes too large
+to allocate), 2 on solver non-convergence. Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 
 from .analytics import JShapeVerdict, equal_step_path, jshape_condition, savings_series
 from .calibration import DEFAULT_PRESET_NAME, load_default_preset
-from .costs import quad_allocation, quad_allocation_args, quad_cubic, quad_cubic_args
 from .planner import SolveReport, SolverConfig, gradualism_metric
 from .scenario_io import (
     RunReport,
@@ -46,51 +45,6 @@ from .types import Scenario, ValidationError
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NOT_CONVERGED = 2
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors exit 1 (invalid input), not argparse's 2."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
-
-
-@functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
-    parser = _Parser(
-        prog="fistrans",
-        description="Simulate public-expenditure transitions under convex adjustment costs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_scenario_args(p: argparse.ArgumentParser, required: bool = False) -> None:
-        source = p.add_mutually_exclusive_group(required=required)
-        source.add_argument("scenario_file", nargs="?", help="scenario file path")
-        source.add_argument("--preset", default=None, help="preset name used in place of a file")
-
-    p_sim = sub.add_parser("simulate", help="solve the transition and report")
-    add_scenario_args(p_sim)
-    p_sim.add_argument("--out", default=None, help="write the per-year CSV here ('-' for stdout)")
-    p_sim.add_argument("--max-iterations", type=int, default=None, help="solver iteration budget")
-
-    p_be = sub.add_parser("breakeven", help="administrative-savings timing")
-    add_scenario_args(p_be)
-
-    sub.add_parser("scenario-table", help="print the cataloged savings scenarios")
-
-    p_js = sub.add_parser("jshape", help="classify the effective-expenditure path")
-    add_scenario_args(p_js)
-    p_js.add_argument("--max-iterations", type=int, default=None, help="solver iteration budget")
-
-    # argparse brackets a required group whose positional is optional, so
-    # the usage line is spelled out.
-    p_val = sub.add_parser(
-        "validate", help="parse and check a scenario file", usage="%(prog)s [-h] (scenario_file | --preset PRESET)"
-    )
-    add_scenario_args(p_val, required=True)
-    return parser
 
 
 def _load(args: argparse.Namespace) -> Tuple[Scenario, str, Tuple[str, ...]]:
@@ -185,19 +139,11 @@ def _cmd_scenario_table(args: argparse.Namespace) -> int:
 
 def _cmd_jshape(args: argparse.Namespace) -> int:
     report = _run(args)
-    scenario = report.scenario
-    # The rise condition weighs the intended reallocation's outlay at reform start
-    # against the recurring long-run cost gain. The anchor (an array: it may leave
-    # the nonnegative allocations) minimises C, so a cost there above C(x0) is roundoff.
-    x0, anchor = scenario.baseline.as_array(), report.solve.anchor
-    intended = float(np.sum(quad_cubic(anchor - x0, *quad_cubic_args(scenario.rigidity))[0]))
-    c_x0, c_star = quad_allocation(np.array([x0, anchor]), *quad_allocation_args(scenario.cost))[0].tolist()
-    c_star = min(c_star, c_x0)
-    holds = jshape_condition(intended, c_x0, c_star)
-    print(f"scenario: {scenario.name}")
-    print(f"intended_reallocation_outlay: {intended:.4f}")
+    outlay, gain, holds = jshape_condition(report.scenario)
+    print(f"scenario: {report.scenario.name}")
+    print(f"intended_reallocation_outlay: {outlay:.4f}")
     print(f"solved_first_year_outlay: {report.outlay[1]:.4f}")
-    print(f"long_run_cost_gain: {c_x0 - c_star:.4f}")
+    print(f"long_run_cost_gain: {gain:.4f}")
     print(f"outlay_exceeds_gain: {holds}")
     _print_verdict(report.jshape, sys.stdout)
     return EXIT_OK if report.solve.converged else _not_converged(report.solve)
@@ -209,22 +155,57 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1 (invalid input), not argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
+@functools.lru_cache(maxsize=None)
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
+    parser = _Parser(
+        prog="fistrans",
+        description="Simulate public-expenditure transitions under convex adjustment costs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    budget = ("--max-iterations", dict(type=int, help="solver iteration budget"))
+
+    def command(name, run, summary, *options, source=True, required=False):
+        """Register subcommand ``name``, which ``run_cli`` runs with ``run``: its
+        scenario source unless ``source`` is false, a file or ``--preset`` but not
+        both, one of them when ``required``; then each (flag, keywords) option."""
+        # argparse brackets a required group whose positional is optional, so
+        # the usage line is spelled out.
+        usage = "%(prog)s [-h] (scenario_file | --preset PRESET)" if required else None
+        p = sub.add_parser(name, help=summary, usage=usage)
+        p.set_defaults(run=run)
+        if source:
+            group = p.add_mutually_exclusive_group(required=required)
+            group.add_argument("scenario_file", nargs="?", help="scenario file path")
+            group.add_argument("--preset", help="preset name used in place of a file")
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+
+    out = ("--out", dict(help="write the per-year CSV here ('-' for stdout)"))
+    command("simulate", _cmd_simulate, "solve the transition and report", out, budget)
+    command("breakeven", _cmd_breakeven, "administrative-savings timing")
+    command("scenario-table", _cmd_scenario_table, "print the cataloged savings scenarios", source=False)
+    command("jshape", _cmd_jshape, "classify the effective-expenditure path", budget)
+    command("validate", _cmd_validate, "parse and check a scenario file", required=True)
+    return parser
+
+
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     """Run one CLI invocation and return its exit status."""
-    parser = _build_parser()
-    args = parser.parse_args(list(argv) if argv is not None else None)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "breakeven": _cmd_breakeven,
-        "scenario-table": _cmd_scenario_table,
-        "jshape": _cmd_jshape,
-        "validate": _cmd_validate,
-    }
+    args = _build_parser().parse_args(list(argv) if argv is not None else None)
     try:
         # The solver's floating-point policy: a cost that overflows prints as inf, unwarned.
         with np.errstate(over="ignore", invalid="ignore"):
-            return handlers[args.command](args)
-    except (ScenarioSyntaxError, ValidationError, OSError) as err:
+            return args.run(args)
+    except (ScenarioSyntaxError, ValidationError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from fistrans import (
     jshape_classify,
     jshape_condition,
     load_default_preset,
+    parse_scenario,
     savings_series,
 )
 
@@ -230,15 +234,16 @@ def test_series_inputs_are_checked(call, message):
 
 
 def test_jshape_condition_examples():
-    assert jshape_condition(5.0, 3.0, 0.0) is True
-    assert jshape_condition(0.0, 3.0, 0.0) is False
-    # The inequality is strict, so equality does not qualify.
-    assert jshape_condition(3.0, 3.0, 0.0) is False
-
-
-def test_jshape_condition_requires_improving_reform():
-    with pytest.raises(ValidationError):
-        jshape_condition(1.0, 2.0, 5.0)
+    scen = load_default_preset().scenario()
+    outlay, gain, holds = jshape_condition(scen)
+    assert (round(outlay, 4), round(gain, 4), holds) == (363.7116, 12.15, True)
+    # Without adjustment costs the one-year move costs nothing.
+    free = dataclasses.replace(scen, rigidity=RigidityParams(gamma=(0.0,) * 4, eta=(0.0,) * 4))
+    assert jshape_condition(free) == (0.0, gain, False)
+    # A baseline one ulp from the anchor: both sides are roundoff, so the condition fails.
+    at_anchor = parse_scenario(Path(__file__).with_name("baseline_at_anchor.scn").read_text(encoding="utf-8"))
+    outlay, gain, holds = jshape_condition(at_anchor)
+    assert outlay < 1e-20 and gain == 0.0 and holds is False
 
 
 def test_baseline_gap_examples():
@@ -251,10 +256,7 @@ def test_rise_condition_implies_peak_after_start():
     from fistrans import (
         FiscalCostSpec,
         Scenario,
-        adjustment_cost,
         solve,
-        stage_cost,
-        stage_cost_minimizer,
     )
 
     rng = np.random.default_rng(5150)
@@ -279,11 +281,7 @@ def test_rise_condition_implies_peak_after_start():
         )
         report = solve(scen)
         assert report.converged
-        long_run = ExpenditureVector.from_array(stage_cost_minimizer(scen))
-        outlay = adjustment_cost(baseline_gap(long_run, scen.baseline), scen.rigidity).value
-        c0 = stage_cost(scen.baseline, scen.cost).value
-        c_star = stage_cost(long_run, scen.cost).value
-        if not jshape_condition(outlay, c0, c_star):
+        if not jshape_condition(scen)[2]:
             continue
         checked += 1
         verdict = jshape_classify(effective_expenditure(report.trajectory, scen.rigidity))

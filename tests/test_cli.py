@@ -311,6 +311,27 @@ def test_every_committed_scenario_exits_as_its_solve_ends(capsys, path):
     assert codes == [want, want]
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("breakeven", "breakeven_window.scn"),
+        ("simulate", "breakeven_window.scn"),
+        ("simulate", "horizon.scn"),
+        ("jshape", "horizon.scn"),
+    ],
+)
+def test_a_size_too_large_to_allocate_is_invalid_input(capsys, command, name):
+    # Each file passes validation, but a size it sets needs 8e17 bytes, beyond
+    # any 64-bit address space, so numpy refuses the allocation at once: the
+    # command exits 1 with one error line, not a traceback.
+    path = str(TESTS / "oversize" / name)
+    assert run_cli(["validate", path]) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli([command, path]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 def test_scenario_table_needs_the_built_in_catalog(capsys):
     # The table is the built-in catalog, so the command takes no preset.
     with pytest.raises(SystemExit) as exit_info:

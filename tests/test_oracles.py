@@ -5,10 +5,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
 from fistrans import (
     CostEval,
     ExpenditureVector,
+    RigidityParams,
     SolverConfig,
     euler_residuals,
     gradient_check,
@@ -152,3 +154,64 @@ def test_the_objective_side_builds_no_newton_system(monkeypatch):
     held = vars(planner._Objective(scen)).values()
     arrays = [v for value in held for v in (value if isinstance(value, tuple) else (value,))]
     assert max(np.size(v) for v in arrays if isinstance(v, np.ndarray)) == scen.horizon * 4
+
+
+def _quadratic(scen):
+    """The scenario with eta = 0 and the symmetric gamma = gamma_up."""
+    rig = scen.rigidity
+    gamma = rig.gamma if rig.gamma is not None else rig.gamma_up
+    return dataclasses.replace(scen, rigidity=RigidityParams(gamma=gamma, eta=(0.0,) * 4))
+
+
+def _bvls_oracle(scen):
+    """Allocations x_1..x_T of a scenario with symmetric gamma and eta = 0, from
+    bounded-variable least squares in the changes d, independently of the planner.
+
+    The objective is then 1/2 ||A d - y||^2 with x_t = x_0 + sum_{s<=t} d_s, and
+    the change limits are box bounds on d. Date t gives the rows
+    sqrt(beta^t w_k) (x_{t,k} - target_k), sqrt(beta^t w_total) (sum_k x_{t,k} - R)
+    and sqrt(beta^t gamma_k) d_{t,k}; date T adds sqrt(2 beta^T w_T) (x_T - anchor),
+    the anchor being C's minimiser.
+    """
+    T, x0 = scen.horizon, scen.baseline.as_array()
+    w, target = np.array(scen.cost.weights), scen.cost.target.as_array()
+    w_total, reference = scen.cost.total_weight, scen.cost.total_reference
+    anchor = np.linalg.solve(np.diag(w) + w_total, w * target + w_total * reference)
+    root = np.sqrt(scen.beta ** np.arange(1, T + 1))[:, None]  # sqrt(beta^t), t = 1..T
+    cumulative = np.kron(np.tril(np.ones((T, T))), np.eye(4))  # x_1..x_T, stacked, is x_0 + cumulative @ d
+    by_weight = (root * np.sqrt(w)).ravel()
+    by_total = root[:, 0] * np.sqrt(w_total)
+    by_gamma = (root * np.sqrt(scen.rigidity.gamma)).ravel()
+    terminal = root[-1, 0] * np.sqrt(2.0 * SolverConfig().terminal_weight)
+    A = np.vstack(
+        [
+            by_weight[:, None] * cumulative,
+            by_total[:, None] * cumulative.reshape(T, 4, 4 * T).sum(axis=1),
+            np.diag(by_gamma),
+            terminal * cumulative[-4:],
+        ]
+    )
+    y = np.concatenate(
+        [by_weight * np.tile(target - x0, T), by_total * (reference - x0.sum()), np.zeros(4 * T), terminal * (anchor - x0)]
+    )
+    lo, hi = scen.bounds_arrays()
+    result = lsq_linear(A, y, bounds=(np.tile(lo, T), np.tile(hi, T)), method="bvls")
+    assert result.success, result.message
+    return x0 + np.cumsum(result.x.reshape(T, 4), axis=0)
+
+
+_DRAWS = np.random.default_rng(1313)
+BVLS_CASES = {
+    **{f"preset-0.5-T{horizon}": _quadratic(preset_scenario(horizon, 0.5)) for horizon in (5, 20, 50)},
+    **{f"random-{i}": _quadratic(random_scenario(_DRAWS, with_bounds=True)) for i in range(50)},
+}
+
+
+@pytest.mark.parametrize("scen", BVLS_CASES.values(), ids=BVLS_CASES.keys())
+def test_bounded_quadratic_solves_match_bounded_least_squares(scen):
+    # Without the cubic term a solve with change limits is a least-squares
+    # problem with box bounds on the changes, which an active-set method
+    # solves exactly: the planner's path agrees to the barrier floor's error.
+    report = solve(scen)
+    assert report.converged
+    assert np.abs(report.trajectory.values[1:] - _bvls_oracle(scen)).max() <= 1e-7
