@@ -110,8 +110,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_breakeven(args: argparse.Namespace) -> int:
     scenario, _, _ = _load(args)
     if scenario.breakeven is None:
-        print("scenario has no [breakeven] block", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValidationError("scenario has no [breakeven] block")
     spec = scenario.breakeven
     series = savings_series(equal_step_path(spec), spec)
     print(f"scenario: {scenario.name}")

@@ -33,6 +33,16 @@ stops the loop as ``singular``. A category frozen at (0, 0) has no
 interior and is pinned to its baseline by identity rows. LAPACK is loaded
 at the first solve (``_lapack``): code that never solves imports no scipy.
 
+Past the transition the path sits on its anchor, so a solve longer than
+twice ``_HELD_HORIZON`` (T_c = 128) dates first runs the loop over T_c
+dates and holds every later date at the anchor, with no limit multiplier.
+Past the junction C'(anchor) = 0 and phi'(0) = 0, so each residual there is
+exactly 0. The held path is kept only if it passes the full horizon's stop
+test, the loop's own (``_stops``); otherwise T_c doubles. Once T <= 2 T_c,
+and whenever the short loop stops unconverged or a category is frozen (its
+anchor is then no long-run point), the loop runs over the full horizon.
+Past T_c a held solve costs one evaluation per date.
+
 A step's arithmetic is laid out for few numpy calls: on (T, 4) arrays at
 the horizons of a reform comparison, dispatch, not arithmetic, sets its
 cost, so no operation broadcasts. An iterate is the whole path x_0..x_T,
@@ -102,6 +112,9 @@ _STEP_TO_BOUNDARY = 0.995
 _UPPER = np.triu_indices(N_CATEGORIES, 1)
 # The first guess keeps this far inside finite change limits.
 _START_MARGIN = 1e-2
+# Horizon of the first short solve whose path a longer solve holds at the
+# anchor past it (see solve); doubled until the held path passes the stop test.
+_HELD_HORIZON = 128
 # Relative ridge on the scaled band's diagonal (per date, beta^t times the
 # unscaled one), which keeps zero-weight, zero-curvature directions solvable.
 _RIDGE = 1e-12
@@ -140,7 +153,10 @@ class SolveReport:
     no accepted step), ``singular`` (the Newton system did not factorise, or
     its band or right-hand side was not finite) or ``roundoff_floor`` (at
     floating-point resolution). ``anchor`` is the long-run allocation, the
-    minimum of C, toward which the terminal term pulls x_T.
+    minimum of C, toward which the terminal term pulls x_T. On a solve that
+    holds a short solve's path at the anchor (see ``solve``), ``iterations``
+    and ``objective_history`` are that short solve's, still with
+    ``iterations + 1`` entries, and ``objective`` is the full horizon's.
     """
 
     converged: bool
@@ -301,7 +317,9 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
     reported through ``converged`` and ``termination``, not raised. A
     horizon at which beta^(T/2) falls below the smallest normal float
     raises ``ValidationError``: the Newton system is solved scaled by
-    beta^(t/2), which cannot represent those dates.
+    beta^(t/2), which cannot represent those dates. Past twice
+    ``_HELD_HORIZON`` dates the path past the transition is held at the
+    anchor when the full horizon's stop test accepts it (module docstring).
     """
     if scenario.beta ** (scenario.horizon / 2.0) < np.finfo(float).tiny:
         raise ValidationError(
@@ -309,7 +327,45 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
             "the smallest normal float; the late dates cannot be solved"
         )
     objective = _Objective(scenario, config)
+    horizon = _HELD_HORIZON
+    # A frozen category is pinned at its baseline, so its anchor is no long-run point to hold.
+    while objective.frozen is None and objective.T > 2 * horizon:
+        short = _newton(_NewtonSystem(_Objective(replace(scenario, horizon=horizon), objective.config)))
+        if short[3] != "converged":
+            break
+        held = _held(objective, *short)
+        if held is not None:
+            return _certify(objective, *held)
+        horizon *= 2
     return _certify(objective, *_newton(_NewtonSystem(objective)))
+
+
+def _held(
+    objective: _Objective, path: np.ndarray, z: np.ndarray, history: List[float], stopped: str, evaluation: tuple
+) -> Optional[tuple]:
+    """A short solve's converged path x_0..x_Tc held at the anchor past T_c,
+    with multipliers 0 there, as ``_newton`` would return it on the full
+    ``objective``; None unless the loop's stop test passes on it there."""
+    n = len(path)
+    held = np.empty((objective.T + 1, N_CATEGORIES))
+    held[:n], held[n:] = path, objective.anchor
+    multipliers = np.zeros((2, objective.T, N_CATEGORIES))
+    multipliers[:, : n - 1] = z
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the stop test, unwarned
+        evaluation = objective.evaluate(held)
+    # The short loop stopped settled, and no held date has a multiplier, so the full path is settled too.
+    if not _stops(objective, evaluation[1], multipliers):
+        return None
+    return held, multipliers, history, stopped, evaluation
+
+
+def _stops(objective: _Objective, residual: np.ndarray, z: Optional[np.ndarray]) -> bool:
+    """The loop's stop test on an iterate whose limits' complementarities
+    have settled: every current-value residual, with the multipliers ``z``
+    unless there are none (None), within the dual tolerance."""
+    if z is not None:
+        residual = objective.with_multipliers(residual, z)
+    return bool(np.abs(residual).max() <= min(_DUAL_TOL, objective.config.gradient_tol))
 
 
 @cache
@@ -373,7 +429,6 @@ def _newton(system: _NewtonSystem) -> Tuple[np.ndarray, np.ndarray, List[float],
         objective = system.objective
         cfg = objective.config
         has, root, neg_root, n_limits = system.has, system.root, system.neg_root, system.n_limits
-        dual_tol = min(_DUAL_TOL, cfg.gradient_tol)
 
         path = _initial_allocations(objective)
         # Slacks and multipliers are carried as iterates, stacked (slacks,
@@ -397,7 +452,7 @@ def _newton(system: _NewtonSystem) -> Tuple[np.ndarray, np.ndarray, List[float],
         history: List[float] = [value]
         for _ in range(cfg.max_iterations):
             settled = not n_limits or (s * np.minimum(z, 1.0)).max() <= _COMP_TOL
-            if settled and np.abs(objective.with_multipliers(residual, z) if n_limits else residual).max() <= dual_tol:
+            if settled and _stops(objective, residual, z if n_limits else None):
                 return path, z, history, "converged", evaluation
 
             # Every Newton step of this iterate shares one factorisation; the

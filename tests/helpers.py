@@ -27,6 +27,8 @@ TABLE_GAMMA = (4.0, 3.5, 1.5, 1.0)
 TABLE_ETA = (1.8, 1.5, 0.6, 0.4)
 BASELINE = ExpenditureVector(46.0, 21.0, 12.0, 21.0)
 TARGETS = ExpenditureVector(40.0, 18.0, 18.0, 24.0)
+# Change limits of every kind: symmetric, lopsided, and one category frozen.
+MIXED_LIMITS = ((-0.5, 0.5), (-0.2, 0.8), (-1.0, 0.3), (0.0, 0.0))
 
 
 def preset_scenario(horizon: int, bound: float | None = None, asymmetric: bool = False) -> Scenario:

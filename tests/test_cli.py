@@ -162,7 +162,7 @@ def test_breakeven_requires_block(capsys, tmp_path):
     path = tmp_path / "plain.scn"
     path.write_text('preset = "paper-default"\n', encoding="utf-8")
     assert run_cli(["breakeven", str(path)]) == EXIT_INVALID
-    assert "no [breakeven] block" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: scenario has no [breakeven] block\n"
 
 
 def test_simulate_writes_csv_and_summary(tmp_path, capsys, short_scenario_file):

@@ -33,7 +33,7 @@ from fistrans.costs import adjustment_cost, stage_cost
 from fistrans.calibration import asymmetric_variant
 from fistrans.cli import EXIT_NOT_CONVERGED, run_cli
 
-from helpers import BASELINE, TARGETS, fresh_python, preset_scenario, random_scenario, reform_scenario, scalar_scenario
+from helpers import BASELINE, MIXED_LIMITS, TARGETS, fresh_python, preset_scenario, random_scenario, reform_scenario, scalar_scenario
 
 NO_TERMINAL = SolverConfig(terminal_weight=0.0)
 
@@ -575,6 +575,9 @@ PINNED_ITERATIONS = [
     ((300, 0.5, False), 8),
     ((1000, None, False), 5),
     ((50, None, True), 4),
+    # Held solves, whose iterations are those of the short solve at T = 128.
+    ((5000, None, False), 5),
+    ((1000, 0.5, False), 8),
 ]
 
 
@@ -748,13 +751,13 @@ def test_a_bounded_draw_whose_path_dips_below_zero_certifies(name):
     assert report.trajectory.values.min() >= 0.0
 
 
-@pytest.mark.parametrize("case", [(50, 0.5), (300, 0.5), (1000, None)])
+@pytest.mark.parametrize("case", [(50, 0.5), (300, 0.5), (1000, None), (5000, None)])
 def test_one_banded_factorisation_per_step(monkeypatch, case):
     factorisations, back_solves = [], []
     factorise = planner._factorise
 
     def counted(band):
-        factorisations.append(1)
+        factorisations.append(band.shape[1])
         back_solve = factorise(band)
 
         def counted_solve(rhs):
@@ -771,6 +774,8 @@ def test_one_banded_factorisation_per_step(monkeypatch, case):
     # factorise once more than it counts.
     assert report.iterations <= len(factorisations) <= report.iterations + 1
     assert len(report.objective_history) == report.iterations + 1
+    # Past twice 128 dates only the short solve's 128 dates are factorised.
+    assert set(factorisations) == {4 * min(case[0], 128)}
     # Predictor, corrector and at most one centred fallback share the factor;
     # without limits a step is one back-solve.
     if case[1] is None:
@@ -843,6 +848,43 @@ def test_termination_says_why_the_solve_stopped(expected, bounds, cfg):
     report = solve(dataclasses.replace(load_default_preset().scenario(), delta_bounds=bounds), cfg)
     assert report.termination == expected
     assert report.converged == (expected == "converged")
+
+
+@pytest.fixture
+def newton_horizons(monkeypatch):
+    """The horizon of each ``_newton`` call so far."""
+    horizons = []
+    newton = planner._newton
+
+    def counted(system):
+        horizons.append(system.objective.T)
+        return newton(system)
+
+    monkeypatch.setattr(planner, "_newton", counted)
+    return horizons
+
+
+@pytest.mark.parametrize(
+    "scen, cfg, horizons, termination",
+    [
+        # A frozen category's anchor is no long-run point: straight to the full solve.
+        (dataclasses.replace(preset_scenario(1000), delta_bounds=MIXED_LIMITS), None, [1000], "converged"),
+        # A short solve that does not converge is not retried.
+        (preset_scenario(1000), SolverConfig(max_iterations=1), [128, 1000], "budget_exhausted"),
+        # Held at 128, the asymmetric path's residual at date 128 is 1.01e-10, past the
+        # stop test's 1e-10, so it is held from 256 (at T = 300, not held at all).
+        (preset_scenario(1000, asymmetric=True), None, [128, 256], "converged"),
+        (preset_scenario(300, asymmetric=True), None, [128, 300], "converged"),
+    ],
+    ids=["frozen", "budget", "asymmetric-T1000", "asymmetric-T300"],
+)
+def test_a_long_solve_holds_a_short_one_or_falls_back(newton_horizons, scen, cfg, horizons, termination):
+    report = solve(scen, cfg)
+    assert newton_horizons == horizons
+    assert report.termination == termination
+    # On a held solve the history is the held short solve's, and the objective the full horizon's.
+    assert len(report.objective_history) == report.iterations + 1
+    assert report.objective == objective_value(report.trajectory, scen, cfg)
 
 
 def test_termination_reports_a_singular_band(monkeypatch):
