@@ -34,14 +34,19 @@ interior and is pinned to its baseline by identity rows. LAPACK is loaded
 at the first solve (``_lapack``): code that never solves imports no scipy.
 
 Past the transition the path sits on its anchor, so a solve longer than
-twice ``_HELD_HORIZON`` (T_c = 128) dates first runs the loop over T_c
-dates and holds every later date at the anchor, with no limit multiplier.
-Past the junction C'(anchor) = 0 and phi'(0) = 0, so each residual there is
-exactly 0. The held path is kept only if it passes the full horizon's stop
-test, the loop's own (``_stops``); otherwise T_c doubles. Once T <= 2 T_c,
-and whenever the short loop stops unconverged or a category is frozen (its
-anchor is then no long-run point), the loop runs over the full horizon.
-Past T_c a held solve costs one evaluation per date.
+twice ``_HELD_HORIZON`` (T_c = 128) dates first runs the loop over its
+first T_c dates and holds every later date at the anchor, with no limit
+multiplier. That short problem is the full one's first T_c dates with date
+T_c's terminal term (``_Objective.head``, views of the full objective's
+grids), so a solve builds one objective. Past the junction C'(anchor) = 0
+and phi'(0) = 0, so each residual there is exactly 0. The held path is kept
+only if it passes the full horizon's stop test, the loop's own
+(``_stops``); otherwise T_c doubles. Once T <= 2 T_c, and whenever the
+short loop stops unconverged or a category is frozen (its anchor is then no
+long-run point), the loop runs over the full horizon. Past T_c a held solve
+costs one evaluation per date. A scenario without change limits carries no
+limit term in any stage: no slacks or multipliers in the loop, and the held
+path's stop test and the certificate read the plain residuals alone.
 
 A step's arithmetic is laid out for few numpy calls: on (T, 4) arrays at
 the horizons of a reform comparison, dispatch, not arithmetic, sets its
@@ -65,6 +70,7 @@ next year's marginal), together with complementarity z * slack ~ 0.
 
 from __future__ import annotations
 
+import copy
 import importlib.machinery
 import importlib.util
 import os
@@ -204,6 +210,16 @@ class _Objective:
         self.allocation = (grid[3], grid[4], *allocation[2:])
         self.disc_grid = grid[5]
 
+    def head(self, T: int) -> _Objective:
+        """The objective of the first ``T`` dates, with date T's terminal term:
+        views of this one's grids, so nothing is rebuilt."""
+        head = copy.copy(self)
+        head.T, head.tail_weight = T, (self.beta**T) * self.wT
+        head.disc, head.disc_grid = self.disc[:T], self.disc_grid[:T]
+        head.adjustment = tuple(grid[:T] for grid in self.adjustment)
+        head.allocation = (self.allocation[0][:T], self.allocation[1][:T], *self.allocation[2:])
+        return head
+
     def evaluate(self, path: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
         """Objective on the path x_0..x_T (x_0 the baseline); the plain
         current-value residuals, those without limit multipliers; and the
@@ -330,7 +346,7 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
     horizon = _HELD_HORIZON
     # A frozen category is pinned at its baseline, so its anchor is no long-run point to hold.
     while objective.frozen is None and objective.T > 2 * horizon:
-        short = _newton(_NewtonSystem(_Objective(replace(scenario, horizon=horizon), objective.config)))
+        short = _newton(_NewtonSystem(objective.head(horizon)))
         if short[3] != "converged":
             break
         held = _held(objective, *short)
@@ -341,16 +357,19 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
 
 
 def _held(
-    objective: _Objective, path: np.ndarray, z: np.ndarray, history: List[float], stopped: str, evaluation: tuple
+    objective: _Objective, path: np.ndarray, z: Optional[np.ndarray], history: List[float], stopped: str, evaluation: tuple
 ) -> Optional[tuple]:
     """A short solve's converged path x_0..x_Tc held at the anchor past T_c,
-    with multipliers 0 there, as ``_newton`` would return it on the full
-    ``objective``; None unless the loop's stop test passes on it there."""
+    with multipliers 0 there (none without change limits), as ``_newton``
+    would return it on the full ``objective``; None unless the loop's stop
+    test passes on it there."""
     n = len(path)
     held = np.empty((objective.T + 1, N_CATEGORIES))
     held[:n], held[n:] = path, objective.anchor
-    multipliers = np.zeros((2, objective.T, N_CATEGORIES))
-    multipliers[:, : n - 1] = z
+    multipliers = None
+    if z is not None:
+        multipliers = np.zeros((2, objective.T, N_CATEGORIES))
+        multipliers[:, : n - 1] = z
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the stop test, unwarned
         evaluation = objective.evaluate(held)
     # The short loop stopped settled, and no held date has a multiplier, so the full path is settled too.
@@ -417,11 +436,11 @@ def _limit_steps(system: _NewtonSystem, dpath: np.ndarray, z: np.ndarray, z_over
     np.subtract(target_over_s - z, dz, out=dz)
 
 
-def _newton(system: _NewtonSystem) -> Tuple[np.ndarray, np.ndarray, List[float], str, tuple]:
+def _newton(system: _NewtonSystem) -> Tuple[np.ndarray, Optional[np.ndarray], List[float], str, tuple]:
     """Damped Newton / interior-point loop from the first guess: the last path
-    x_0..x_T, the multipliers, the objective history, why it stopped, and the
-    last path's ``evaluate``. Every iteration takes the centred step unless
-    Mehrotra's corrector descends."""
+    x_0..x_T, the multipliers (None without change limits), the objective
+    history, why it stopped, and the last path's ``evaluate``. Every iteration
+    takes the centred step unless Mehrotra's corrector descends."""
     # A step to the boundary divides by the steps that are not negative. An
     # evaluation, or a multiplier's z / s late in a degenerate solve, can
     # overflow; the loop then stops as singular. None of this is a warning.
@@ -437,12 +456,16 @@ def _newton(system: _NewtonSystem) -> Tuple[np.ndarray, np.ndarray, List[float],
         # slack from the changes would round to zero near an active limit.
         # Without any finite limit every limit term is an exact zero, and the loop
         # skips them: carrying them made unbounded solves 36-45% slower (2-vCPU Xeon).
-        sz = np.empty((2, 2, objective.T, N_CATEGORIES))
-        s, z = sz
-        np.copyto(s, np.where(has, objective.sign * (path[1:] - path[:-1] - objective.limits), 1.0))
-        np.copyto(z, has)
-        dsz = np.empty_like(sz)
-        ds, dz = dsz
+        # Without change limits at all (none frozen either) there are no slacks or
+        # multipliers, and neither the held path nor the certificate adds their terms.
+        z = None
+        if n_limits or objective.frozen is not None:
+            sz = np.empty((2, 2, objective.T, N_CATEGORIES))
+            s, z = sz
+            np.copyto(s, np.where(has, objective.sign * (path[1:] - path[:-1] - objective.limits), 1.0))
+            np.copyto(z, has)
+            dsz = np.empty_like(sz)
+            ds, dz = dsz
         # Steps of the path; the baseline's row stays zero.
         dpath = np.zeros_like(path)
         dx = dpath[1:]
@@ -542,14 +565,17 @@ def _newton(system: _NewtonSystem) -> Tuple[np.ndarray, np.ndarray, List[float],
 def _certify(
     objective: _Objective,
     path: np.ndarray,
-    z: np.ndarray,
+    z: Optional[np.ndarray],
     history: List[float],
     stopped: str,
     evaluation: Optional[tuple] = None,
 ) -> SolveReport:
     """Certify the path as returned, at every date, and report it. The loop's
     ``evaluation`` of the path is reused unless ``Trajectory`` moved it
-    (it lifts roundoff below zero to zero).
+    (it lifts roundoff below zero to zero). With multipliers ``z`` the
+    residuals carry their terms and every limit's violation and
+    complementarity is checked; without change limits (``z`` None) every
+    such term is an exact zero, and only the plain residuals are read.
 
     A Newton system that is not finite can stop the loop below zero,
     which no trajectory holds; that report names the stop, with the path
@@ -560,22 +586,23 @@ def _certify(
         if evaluation is None or not np.array_equal(trajectory.values, path):
             evaluation = objective.evaluate(trajectory.values)
         value, residual, _ = evaluation
-        # Each limit's slack, negative where the limit is violated; |slack| * min(z, 1) is its complementarity.
-        values = trajectory.values
-        gap = objective.sign * (values[1:] - values[:-1] - objective.limits)
-        comp = np.abs(np.where(objective.finite, gap, 0.0)) * np.minimum(z, 1.0)
-        residuals = np.abs(objective.with_multipliers(residual, z))
+        if z is None:  # no change limits: nothing to violate, and no multiplier term
+            residuals, limit_error = np.abs(residual), 0.0
+        else:
+            # Each limit's slack, negative where the limit is violated; |slack| * min(z, 1) is its complementarity.
+            values = trajectory.values
+            gap = objective.sign * (values[1:] - values[:-1] - objective.limits)
+            comp = np.abs(np.where(objective.finite, gap, 0.0)) * np.minimum(z, 1.0)
+            residuals = np.abs(objective.with_multipliers(residual, z))
+            limit_error = max(comp.max(), max(0.0, float(np.max(-gap))))
         # An overflowed marginal cost leaves inf - inf: that date is not certified.
         np.copyto(residuals, np.inf, where=np.isnan(residuals))
         grad_norm = float(np.max(residuals))
         max_residual = float(np.max(residuals[:-1])) if objective.T >= 2 else 0.0
-        violation = max(0.0, float(np.max(-gap)))
 
         cfg = objective.config
         converged = bool(
-            grad_norm <= cfg.gradient_tol
-            and max_residual <= cfg.euler_tol
-            and max(comp.max(), violation) <= cfg.gradient_tol
+            grad_norm <= cfg.gradient_tol and max_residual <= cfg.euler_tol and limit_error <= cfg.gradient_tol
         )
         if stopped == "converged" and not converged:
             stopped = "roundoff_floor"  # the loop's own test is as tight as it goes

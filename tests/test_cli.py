@@ -192,6 +192,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ([], "simulate_paper_default.csv"),
         ([str(REPO_SCENARIOS / "admin_savings_a.scn")], "simulate_admin_savings_a.csv"),
         ([str(GOLDEN / "asymmetric_variant.scn")], "simulate_asymmetric_variant.csv"),
+        # Past twice 128 dates: the solve holds its short solve's path at the anchor.
+        ([str(GOLDEN / "paper_default_T300.scn")], "simulate_paper_default_T300.csv"),
     ],
 )
 def test_simulate_csv_matches_golden_file(capsys, scenario_args, golden_name):

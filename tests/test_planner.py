@@ -887,6 +887,56 @@ def test_a_long_solve_holds_a_short_one_or_falls_back(newton_horizons, scen, cfg
     assert report.objective == objective_value(report.trajectory, scen, cfg)
 
 
+def _count_calls(monkeypatch, cls, name):
+    """The number of calls to ``cls.name`` so far, as a one-element list."""
+    calls = [0]
+    method = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+ONE_OBJECTIVE_CASES = {
+    **{
+        f"T{horizon}{'' if bound is None else '-0.5'}": preset_scenario(horizon, bound)
+        for horizon in (300, 1000, 5000)
+        for bound in (None, 0.5)
+    },
+    # Held only from 256: the tries at 128 and 256 both read the full objective.
+    "asymmetric-T1000": preset_scenario(1000, asymmetric=True),
+}
+
+
+@pytest.mark.parametrize("scen", ONE_OBJECTIVE_CASES.values(), ids=ONE_OBJECTIVE_CASES.keys())
+def test_a_long_solve_builds_one_objective(monkeypatch, scen):
+    # A held try's short objective is the full objective's first dates, not a new one.
+    built = _count_calls(monkeypatch, planner._Objective, "__init__")
+    assert solve(scen).converged
+    assert built == [1]
+
+
+@pytest.mark.parametrize(
+    "scen, limited",
+    [
+        (preset_scenario(50), False),
+        (preset_scenario(1000), False),
+        (reform_scenario(np.random.default_rng(0), horizon=25), False),
+        (preset_scenario(50, 0.5), True),
+    ],
+    ids=["T50", "T1000-held", "reform-T25", "T50-0.5"],
+)
+def test_a_solve_without_limits_computes_no_limit_term(monkeypatch, scen, limited):
+    # Without change limits every multiplier is zero, so neither the loop, the
+    # held path's stop test nor the certificate adds the multipliers' terms.
+    added = _count_calls(monkeypatch, planner._Objective, "with_multipliers")
+    assert solve(scen).converged
+    assert (added[0] > 0) == limited
+
+
 def test_termination_reports_a_singular_band(monkeypatch):
     # A band that is not positive definite fails the real factorisation.
     band = planner._NewtonSystem.band
