@@ -39,14 +39,14 @@ first T_c dates and holds every later date at the anchor, with no limit
 multiplier. That short problem is the full one's first T_c dates with date
 T_c's terminal term (``_Objective.head``, views of the full objective's
 grids), so a solve builds one objective. Past the junction C'(anchor) = 0
-and phi'(0) = 0, so each residual there is exactly 0. The held path is kept
-only if it passes the full horizon's stop test, the loop's own
-(``_stops``); otherwise T_c doubles. Once T <= 2 T_c, and whenever the
+and phi'(0) = 0, so each residual there is exactly 0. The held path is
+certified over the full horizon and kept when its certificate passes the
+loop's stop test; otherwise T_c doubles. Once T <= 2 T_c, and whenever the
 short loop stops unconverged or a category is frozen (its anchor is then no
 long-run point), the loop runs over the full horizon. Past T_c a held solve
-costs one evaluation per date. A scenario without change limits carries no
-limit term in any stage: no slacks or multipliers in the loop, and the held
-path's stop test and the certificate read the plain residuals alone.
+costs one evaluation per date. Without a finite limit on a free category
+no stage carries a limit term: the loop has no slacks or multipliers, and
+the certificate reads the plain residuals and a frozen category's pin.
 
 A step's arithmetic is laid out for few numpy calls: on (T, 4) arrays at
 the horizons of a reform comparison, dispatch, not arithmetic, sets its
@@ -184,6 +184,7 @@ class _Objective:
 
     def __init__(self, scenario: Scenario, config: Optional[SolverConfig] = None):
         config = self.config = config if config is not None else SolverConfig()
+        self.stop_tol = min(_DUAL_TOL, config.gradient_tol)  # the loop's bound on every residual
         self.x0 = scenario.baseline.as_array()
         T = self.T = scenario.horizon
         beta = self.beta = scenario.beta
@@ -335,7 +336,8 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
     raises ``ValidationError``: the Newton system is solved scaled by
     beta^(t/2), which cannot represent those dates. Past twice
     ``_HELD_HORIZON`` dates the path past the transition is held at the
-    anchor when the full horizon's stop test accepts it (module docstring).
+    anchor, kept when its certificate passes the loop's stop test (module
+    docstring).
     """
     if scenario.beta ** (scenario.horizon / 2.0) < np.finfo(float).tiny:
         raise ValidationError(
@@ -346,45 +348,20 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
     horizon = _HELD_HORIZON
     # A frozen category is pinned at its baseline, so its anchor is no long-run point to hold.
     while objective.frozen is None and objective.T > 2 * horizon:
-        short = _newton(_NewtonSystem(objective.head(horizon)))
-        if short[3] != "converged":
+        path, z, history, stopped, _ = _newton(_NewtonSystem(objective.head(horizon)))
+        if stopped != "converged":
             break
-        held = _held(objective, *short)
-        if held is not None:
-            return _certify(objective, *held)
+        # Every later date held at the anchor with multipliers 0: the short loop
+        # stopped settled, so the loop's stop test reads the certified residuals alone.
+        held = np.empty((objective.T + 1, N_CATEGORIES))
+        held[: len(path)], held[len(path) :] = path, objective.anchor
+        if z is not None:
+            z = np.concatenate((z, np.zeros((2, objective.T + 1 - len(path), N_CATEGORIES))), axis=1)
+        report = _certify(objective, held, z, history, stopped)
+        if report.gradient_norm <= objective.stop_tol:
+            return report
         horizon *= 2
     return _certify(objective, *_newton(_NewtonSystem(objective)))
-
-
-def _held(
-    objective: _Objective, path: np.ndarray, z: Optional[np.ndarray], history: List[float], stopped: str, evaluation: tuple
-) -> Optional[tuple]:
-    """A short solve's converged path x_0..x_Tc held at the anchor past T_c,
-    with multipliers 0 there (none without change limits), as ``_newton``
-    would return it on the full ``objective``; None unless the loop's stop
-    test passes on it there."""
-    n = len(path)
-    held = np.empty((objective.T + 1, N_CATEGORIES))
-    held[:n], held[n:] = path, objective.anchor
-    multipliers = None
-    if z is not None:
-        multipliers = np.zeros((2, objective.T, N_CATEGORIES))
-        multipliers[:, : n - 1] = z
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the stop test, unwarned
-        evaluation = objective.evaluate(held)
-    # The short loop stopped settled, and no held date has a multiplier, so the full path is settled too.
-    if not _stops(objective, evaluation[1], multipliers):
-        return None
-    return held, multipliers, history, stopped, evaluation
-
-
-def _stops(objective: _Objective, residual: np.ndarray, z: Optional[np.ndarray]) -> bool:
-    """The loop's stop test on an iterate whose limits' complementarities
-    have settled: every current-value residual, with the multipliers ``z``
-    unless there are none (None), within the dual tolerance."""
-    if z is not None:
-        residual = objective.with_multipliers(residual, z)
-    return bool(np.abs(residual).max() <= min(_DUAL_TOL, objective.config.gradient_tol))
 
 
 @cache
@@ -454,12 +431,12 @@ def _newton(system: _NewtonSystem) -> Tuple[np.ndarray, Optional[np.ndarray], Li
         # multipliers) and each (lower, upper); columns without a limit hold slack
         # 1 and multiplier 0, so they drop out of every formula. Recomputing a
         # slack from the changes would round to zero near an active limit.
-        # Without any finite limit every limit term is an exact zero, and the loop
-        # skips them: carrying them made unbounded solves 36-45% slower (2-vCPU Xeon).
-        # Without change limits at all (none frozen either) there are no slacks or
-        # multipliers, and neither the held path nor the certificate adds their terms.
+        # Without a finite limit on a free category every limit term is an exact
+        # zero: there are no slacks or multipliers (z is None), and neither the loop
+        # nor the certificate adds a limit term (carrying them made unbounded
+        # solves 36-45% slower, 2-vCPU Xeon).
         z = None
-        if n_limits or objective.frozen is not None:
+        if n_limits:
             sz = np.empty((2, 2, objective.T, N_CATEGORIES))
             s, z = sz
             np.copyto(s, np.where(has, objective.sign * (path[1:] - path[:-1] - objective.limits), 1.0))
@@ -474,8 +451,9 @@ def _newton(system: _NewtonSystem) -> Tuple[np.ndarray, Optional[np.ndarray], Li
         value, residual, curv = evaluation
         history: List[float] = [value]
         for _ in range(cfg.max_iterations):
+            # The stop test: every complementarity settled, and every residual within stop_tol.
             settled = not n_limits or (s * np.minimum(z, 1.0)).max() <= _COMP_TOL
-            if settled and _stops(objective, residual, z if n_limits else None):
+            if settled and np.abs(objective.with_multipliers(residual, z) if n_limits else residual).max() <= objective.stop_tol:
                 return path, z, history, "converged", evaluation
 
             # Every Newton step of this iterate shares one factorisation; the
@@ -574,8 +552,9 @@ def _certify(
     ``evaluation`` of the path is reused unless ``Trajectory`` moved it
     (it lifts roundoff below zero to zero). With multipliers ``z`` the
     residuals carry their terms and every limit's violation and
-    complementarity is checked; without change limits (``z`` None) every
-    such term is an exact zero, and only the plain residuals are read.
+    complementarity is checked. Without a finite limit on a free category
+    (``z`` None) only the plain residuals and a frozen category's pin are
+    read. A held path is kept when this passes the loop's stop test.
 
     A Newton system that is not finite can stop the loop below zero,
     which no trajectory holds; that report names the stop, with the path
@@ -586,11 +565,13 @@ def _certify(
         if evaluation is None or not np.array_equal(trajectory.values, path):
             evaluation = objective.evaluate(trajectory.values)
         value, residual, _ = evaluation
-        if z is None:  # no change limits: nothing to violate, and no multiplier term
+        values = trajectory.values
+        if z is None:  # no multiplier term; only a frozen category's pin to violate
             residuals, limit_error = np.abs(residual), 0.0
+            if objective.frozen is not None:
+                limit_error = float(np.abs(values[1:] - values[:-1])[:, objective.frozen].max())
         else:
             # Each limit's slack, negative where the limit is violated; |slack| * min(z, 1) is its complementarity.
-            values = trajectory.values
             gap = objective.sign * (values[1:] - values[:-1] - objective.limits)
             comp = np.abs(np.where(objective.finite, gap, 0.0)) * np.minimum(z, 1.0)
             residuals = np.abs(objective.with_multipliers(residual, z))

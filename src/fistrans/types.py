@@ -68,8 +68,11 @@ _NEG_TOL = 1e-9
 def _check(value, what: str, kind: str = "finite"):
     """The one field check: ``value`` must be a finite number of one ``kind``,
     "finite", "nonnegative", "positive", "fraction" (in (0, 1)), "score" (in
-    [0, 1]) or "count" (an integer >= 1). Returns a float, or an int for a count."""
+    [0, 1]) or "count" (an integer >= 1); a boolean is no number. Returns a
+    float, or an int for a count."""
     try:
+        if isinstance(value, (bool, np.bool_)):  # float would read True as the number 1
+            raise TypeError
         v = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what} must be a number, got {value!r}") from None

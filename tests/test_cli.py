@@ -194,6 +194,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ([str(GOLDEN / "asymmetric_variant.scn")], "simulate_asymmetric_variant.csv"),
         # Past twice 128 dates: the solve holds its short solve's path at the anchor.
         ([str(GOLDEN / "paper_default_T300.scn")], "simulate_paper_default_T300.csv"),
+        # The asymmetric preset's path held past 128 dates misses the stop test: held from 256.
+        ([str(GOLDEN / "asymmetric_variant_T600.scn")], "simulate_asymmetric_variant_T600.csv"),
     ],
 )
 def test_simulate_csv_matches_golden_file(capsys, scenario_args, golden_name):

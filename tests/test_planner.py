@@ -875,8 +875,13 @@ def newton_horizons(monkeypatch):
         # stop test's 1e-10, so it is held from 256 (at T = 300, not held at all).
         (preset_scenario(1000, asymmetric=True), None, [128, 256], "converged"),
         (preset_scenario(300, asymmetric=True), None, [128, 300], "converged"),
+        # The held path's certificate passes the loop's stop test, its gradient
+        # norm within 1e-10, and is kept though it fails the residual tolerance.
+        (preset_scenario(1000), SolverConfig(euler_tol=1e-16), [128], "roundoff_floor"),
+        # The short loop stops at its roundoff floor, unconverged: nothing is held.
+        (preset_scenario(1000), SolverConfig(gradient_tol=1e-13), [128, 1000], "converged"),
     ],
-    ids=["frozen", "budget", "asymmetric-T1000", "asymmetric-T300"],
+    ids=["frozen", "budget", "asymmetric-T1000", "asymmetric-T300", "euler_tol-1e-16", "gradient_tol-1e-13"],
 )
 def test_a_long_solve_holds_a_short_one_or_falls_back(newton_horizons, scen, cfg, horizons, termination):
     report = solve(scen, cfg)
@@ -930,11 +935,35 @@ def test_a_long_solve_builds_one_objective(monkeypatch, scen):
     ids=["T50", "T1000-held", "reform-T25", "T50-0.5"],
 )
 def test_a_solve_without_limits_computes_no_limit_term(monkeypatch, scen, limited):
-    # Without change limits every multiplier is zero, so neither the loop, the
-    # held path's stop test nor the certificate adds the multipliers' terms.
+    # Without change limits every multiplier is zero, so neither the loop nor
+    # the certificate, of a held path or of the loop's, adds their terms.
     added = _count_calls(monkeypatch, planner._Objective, "with_multipliers")
     assert solve(scen).converged
     assert (added[0] > 0) == limited
+
+
+FROZEN_ONLY = ((0.0, 0.0), (-math.inf, math.inf), (-math.inf, math.inf), (-math.inf, math.inf))
+
+
+@pytest.mark.parametrize("horizon", [20, 300])
+def test_a_frozen_category_without_finite_limits_carries_no_multipliers(horizon):
+    # No free category has a finite limit, so the loop carries no slacks or
+    # multipliers; the certificate still checks the frozen category's pin.
+    scen = dataclasses.replace(preset_scenario(horizon), delta_bounds=FROZEN_ONLY)
+    assert planner._newton(planner._NewtonSystem(planner._Objective(scen)))[1] is None
+    report = solve(scen)
+    assert report.converged
+    assert np.all(report.trajectory.values[:, 0] == scen.baseline.transfers)
+    # Without the total penalty the categories are separate, so moving the frozen
+    # one leaves every residual as it was (its own are absorbed) but breaks its pin.
+    separable = dataclasses.replace(scen, cost=dataclasses.replace(scen.cost, total_weight=0.0))
+    objective = planner._Objective(separable)
+    path, z, history, stopped, _ = planner._newton(planner._NewtonSystem(objective))
+    assert (z, stopped) == (None, "converged")
+    path[horizon // 2, 0] += 1e-6
+    moved = planner._certify(objective, path, z, history, stopped)
+    assert moved.gradient_norm <= objective.config.gradient_tol
+    assert not moved.converged
 
 
 def test_termination_reports_a_singular_band(monkeypatch):

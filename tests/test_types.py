@@ -313,6 +313,11 @@ _FIELD_CHECKS = [
     ("horizon-inf", lambda: _scenario(horizon=np.inf), "horizon must be an integer"),
     ("horizon-nan", lambda: _scenario(horizon=np.nan), "horizon must be an integer"),
     ("horizon-text", lambda: _scenario(horizon="ten"), "horizon must be a number"),
+    # float(True) is 1.0, but a boolean is no count, amount or vector entry.
+    ("horizon-bool", lambda: _scenario(horizon=True), "horizon must be a number, got True"),
+    ("max_iterations-bool", lambda: SolverConfig(max_iterations=True), "max_iterations must be a number, got True"),
+    ("core_floor-bool", lambda: _breakeven(core_floor=np.False_), "core_floor must be a number"),
+    ("weights-bool", lambda: FiscalCostSpec(target=TARGETS, weights=(1, True, 1, 1)), r"weights\[wages\] must be a number"),
     ("beta-nan", lambda: _scenario(beta=np.nan), "discount factor out of range"),
     ("delta_bounds-count", lambda: _scenario(delta_bounds=((-1, 1),) * 3), "delta_bounds needs 4"),
     ("delta_bounds-nan", lambda: _scenario(delta_bounds=((-1, 1), (np.nan, 1), (-1, 1), (-1, 1))), "contains NaN"),
