@@ -41,12 +41,14 @@ T_c's terminal term (``_Objective.head``, views of the full objective's
 grids), so a solve builds one objective. Past the junction C'(anchor) = 0
 and phi'(0) = 0, so each residual there is exactly 0. The held path is
 certified over the full horizon and kept when its certificate passes the
-loop's stop test; otherwise T_c doubles. Once T <= 2 T_c, and whenever the
-short loop stops unconverged or a category is frozen (its anchor is then no
-long-run point), the loop runs over the full horizon. Past T_c a held solve
-costs one evaluation per date. Without a finite limit on a free category
-no stage carries a limit term: the loop has no slacks or multipliers, and
-the certificate reads the plain residuals and a frozen category's pin.
+loop's stop test; otherwise, or if it is below zero (an anchor below
+zero), which no ``Trajectory`` holds, T_c doubles. Once T <= 2 T_c, and
+whenever the short loop stops unconverged or a category is frozen (its
+anchor is then no long-run point), the loop runs over the full horizon.
+Past T_c a held solve costs one evaluation per date. Without a finite
+limit on a free category no stage carries a limit term: the loop has no
+slacks or multipliers, and the certificate reads the plain residuals and
+a frozen category's pin.
 
 A step's arithmetic is laid out for few numpy calls: on (T, 4) arrays at
 the horizons of a reform comparison, dispatch, not arithmetic, sets its
@@ -83,6 +85,7 @@ import numpy as np
 from .costs import quad_allocation, quad_allocation_args, quad_allocation_hessian, quad_allocation_minimum
 from .costs import quad_cubic, quad_cubic_args
 from .types import (
+    _NEG_TOL,
     N_CATEGORIES,
     ExpenditureVector,
     Scenario,
@@ -357,9 +360,11 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
         held[: len(path)], held[len(path) :] = path, objective.anchor
         if z is not None:
             z = np.concatenate((z, np.zeros((2, objective.T + 1 - len(path), N_CATEGORIES))), axis=1)
-        report = _certify(objective, held, z, history, stopped)
-        if report.gradient_norm <= objective.stop_tol:
-            return report
+        # A path below zero, such as one held at an anchor below zero, is no Trajectory: never kept.
+        if held.min() >= -_NEG_TOL:
+            report = _certify(objective, held, z, history, stopped)
+            if report.gradient_norm <= objective.stop_tol:
+                return report
         horizon *= 2
     return _certify(objective, *_newton(_NewtonSystem(objective)))
 

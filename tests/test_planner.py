@@ -850,6 +850,9 @@ def test_termination_says_why_the_solve_stopped(expected, bounds, cfg):
     assert report.converged == (expected == "converged")
 
 
+NEGATIVE_ANCHOR = parse_scenario((Path(__file__).resolve().parent / "negative_anchor.scn").read_text(encoding="utf-8"))
+
+
 @pytest.fixture
 def newton_horizons(monkeypatch):
     """The horizon of each ``_newton`` call so far."""
@@ -880,8 +883,11 @@ def newton_horizons(monkeypatch):
         (preset_scenario(1000), SolverConfig(euler_tol=1e-16), [128], "roundoff_floor"),
         # The short loop stops at its roundoff floor, unconverged: nothing is held.
         (preset_scenario(1000), SolverConfig(gradient_tol=1e-13), [128, 1000], "converged"),
+        # Held at the anchor (20, -2, -2, 4), a path is no Trajectory and is not
+        # judged; the full path, which limits of +-0.01 keep nonnegative, is.
+        (dataclasses.replace(NEGATIVE_ANCHOR, horizon=300, delta_bounds=((-0.01, 0.01),) * 4), None, [128, 300], "converged"),
     ],
-    ids=["frozen", "budget", "asymmetric-T1000", "asymmetric-T300", "euler_tol-1e-16", "gradient_tol-1e-13"],
+    ids=["frozen", "budget", "asymmetric-T1000", "asymmetric-T300", "euler_tol-1e-16", "gradient_tol-1e-13", "negative-anchor"],
 )
 def test_a_long_solve_holds_a_short_one_or_falls_back(newton_horizons, scen, cfg, horizons, termination):
     report = solve(scen, cfg)
