@@ -33,22 +33,33 @@ stops the loop as ``singular``. A category frozen at (0, 0) has no
 interior and is pinned to its baseline by identity rows. LAPACK is loaded
 at the first solve (``_lapack``): code that never solves imports no scipy.
 
-Past the transition the path sits on its anchor, so a solve longer than
-twice ``_HELD_HORIZON`` (T_c = 128) dates first runs the loop over its
-first T_c dates and holds every later date at the anchor, with no limit
-multiplier. That short problem is the full one's first T_c dates with date
-T_c's terminal term (``_Objective.head``, views of the full objective's
-grids), so a solve builds one objective. Past the junction C'(anchor) = 0
-and phi'(0) = 0, so each residual there is exactly 0. The held path is
+Each category closes its gap to the anchor at a pace its rigidity sets:
+the Euler equation of 1/2 * w * e^2 + 1/2 * gamma * d^2, linearised at the
+anchor, has one stable root rho(gamma, w) in [0, 1) (``_decay_rate``), the
+gap's decay per date. A solve plans from it twice. Without finite limits
+the loop starts on the decay path anchor + (x0 - anchor) * rho_k^t, closed
+at the anchor on date T, the default guess. And past the transition the path sits on its anchor, so a solve
+longer than T_c dates first runs the loop over its first T_c dates and
+holds every later date at the anchor, with no limit multiplier. T_c
+(``_held_horizon``, 114 on the shipped preset) is the date by which every
+category's residual scale gamma_k * |x0 - anchor|_k * rho_k^t, after the
+dates it rides its change limit toward the anchor, meets the stop test.
+That short problem is the full one's first T_c dates with date T_c's
+terminal term (``_Objective.head``, views of the full objective's grids),
+so a solve builds one objective. Past the junction C'(anchor) = 0 and
+phi'(0) = 0, so each residual there is exactly 0. The held path is
 certified over the full horizon and kept when its certificate passes the
-loop's stop test; otherwise, or if it is below zero (an anchor below
-zero), which no ``Trajectory`` holds, T_c doubles. Once T <= 2 T_c, and
-whenever the short loop stops unconverged or a category is frozen (its
-anchor is then no long-run point), the loop runs over the full horizon.
-Past T_c a held solve costs one evaluation per date. Without a finite
-limit on a free category no stage carries a limit term: the loop has no
-slacks or multipliers, and the certificate reads the plain residuals and
-a frozen category's pin.
+loop's stop test. There is one try: when it misses, when the short loop
+stops unconverged, or when the held path is below zero (an anchor below
+zero), which no ``Trajectory`` holds, the loop runs over the full horizon,
+so a miss costs one short solve. No try is made that cannot pass: none
+with a frozen category (its anchor is then no long-run point), a change
+limit of 0 toward the anchor or a rate of 1, and none where the barrier
+floor leaves a limit pair's multipliers further apart at a zero change
+than the stop test, which the junction would read. Past T_c a held solve
+costs one evaluation per date. Without a finite limit on a free category
+no stage carries a limit term: the loop has no slacks or multipliers, and
+the certificate reads the plain residuals and a frozen category's pin.
 
 A step's arithmetic is laid out for few numpy calls: on (T, 4) arrays at
 the horizons of a reform comparison, dispatch, not arithmetic, sets its
@@ -75,6 +86,7 @@ from __future__ import annotations
 import copy
 import importlib.machinery
 import importlib.util
+import math
 import os
 from dataclasses import dataclass, replace
 from functools import cache
@@ -104,7 +116,7 @@ __all__ = [
     "stage_cost_minimizer",
 ]
 
-_GUESS_MODES = ("linear-ramp", "hold")
+_GUESS_MODES = ("decay", "linear-ramp", "hold")
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
@@ -121,9 +133,6 @@ _STEP_TO_BOUNDARY = 0.995
 _UPPER = np.triu_indices(N_CATEGORIES, 1)
 # The first guess keeps this far inside finite change limits.
 _START_MARGIN = 1e-2
-# Horizon of the first short solve whose path a longer solve holds at the
-# anchor past it (see solve); doubled until the held path passes the stop test.
-_HELD_HORIZON = 128
 # Relative ridge on the scaled band's diagonal (per date, beta^t times the
 # unscaled one), which keeps zero-weight, zero-curvature directions solvable.
 _RIDGE = 1e-12
@@ -131,13 +140,26 @@ _RIDGE = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver controls; the defaults certify comfortably on the shipped preset."""
+    """Solver controls; the defaults certify comfortably on the shipped preset.
+
+    ``initial_guess`` names the loop's first path. ``"decay"``, the default,
+    closes each category's gap at its decay rate: anchor + (x0 - anchor) *
+    rho_k^t, with rho_k the rate under C's own curvature w_k + w_total and
+    the kink (gamma_up + gamma_down) / 2, raised by the cubic's secant
+    curvature over the first year; the second root's mode closes the gap on
+    date T, as the terminal term nearly does. It is the linear ramp wherever
+    a category is frozen or has a finite change limit, whose interior-point
+    start the ramp serves better, or where a rate is not finite.
+    ``"linear-ramp"`` moves in equal steps from the baseline to the anchor,
+    and ``"hold"`` stays at the baseline; both keep strictly inside finite
+    change limits.
+    """
 
     max_iterations: int = 10_000
     gradient_tol: float = 1e-8
     euler_tol: float = 1e-6
     terminal_weight: float = 1e3
-    initial_guess: str = "linear-ramp"
+    initial_guess: str = "decay"
 
     def __post_init__(self) -> None:
         _store(self, "count", "max_iterations")
@@ -166,6 +188,7 @@ class SolveReport:
     holds a short solve's path at the anchor (see ``solve``), ``iterations``
     and ``objective_history`` are that short solve's, still with
     ``iterations + 1`` entries, and ``objective`` is the full horizon's.
+    After a held try that misses they are the full solve's alone.
     """
 
     converged: bool
@@ -310,15 +333,95 @@ def stage_cost_minimizer(scenario: Scenario) -> np.ndarray:
     return quad_allocation_minimum(*quad_allocation_args(scenario.cost))
 
 
+def _decay_rate(gamma: float, weight: float, beta: float) -> float:
+    """Per-date decay rate of a gap e under the cost 1/2 * weight * e^2 + 1/2 * gamma * d^2:
+    the root in [0, 1) of beta * gamma * rho^2 - a * rho + gamma = 0, a = weight +
+    gamma * (1 + beta), the stable root of the Euler equation linearised at the
+    anchor (Ljungqvist & Sargent, Recursive Macroeconomic Theory, ch. 5). Written
+    2 * gamma / (a + sqrt(a^2 - 4 * beta * gamma^2)), which keeps its digits where
+    gamma is small: 0 at gamma = 0, 1 at weight = 0, and nan where a^2 and
+    4 * beta * gamma^2 both overflow."""
+    if gamma == 0.0:
+        return 0.0
+    a = weight + gamma * (1.0 + beta)
+    return 2.0 * gamma / (a + math.sqrt(max(a * a - 4.0 * beta * gamma * gamma, 0.0)))
+
+
+def _start_rates(objective: _Objective) -> np.ndarray:
+    """Each category's decay rate for the first guess: C's own curvature w_k + w_total,
+    and the kink raised by the cubic's secant curvature over the first year's change,
+    (2/3) * eta * |x0 - anchor| * (1 - rho), rho the rate without it."""
+    kink, _, eta = (grid[0].tolist() for grid in objective.adjustment)
+    weights = (objective.allocation[0][0] + objective.allocation[2]).tolist()
+    sizes = np.abs(objective.x0 - objective.anchor).tolist()
+    rates = []
+    for gamma, cubic, weight, size in zip(kink, eta, weights, sizes):
+        first_year = size * (1.0 - _decay_rate(gamma, weight, objective.beta))
+        rates.append(_decay_rate(gamma + (2.0 / 3.0) * cubic * first_year, weight, objective.beta))
+    return np.array(rates)
+
+
 def _initial_allocations(objective: _Objective) -> np.ndarray:
-    """The path x_0..x_T of the configured guess, moved strictly inside every finite change limit."""
-    step = 0.0 if objective.config.initial_guess == "hold" else (objective.anchor - objective.x0) / objective.T
+    """The path x_0..x_T of the configured guess (see ``SolverConfig``), moved
+    strictly inside every finite change limit."""
+    T, x0, anchor = objective.T, objective.x0, objective.anchor
+    guess = objective.config.initial_guess
+    path = np.empty((T + 1, N_CATEGORIES))
+    path[0] = x0
+    # With any finite limit, a frozen category's included, the interior-point start
+    # takes the ramp: a decay path clipped into the limits took more iterations.
+    if guess == "decay" and np.isinf(objective.limits).all():
+        rate = _start_rates(objective)
+        if np.isfinite(rate).all():
+            # The linearised Euler equation's two modes, rho^t and (beta * rho)^-t,
+            # combined to start at the gap and close it on date T, as the stiff
+            # terminal term nearly does; on a long horizon, rho^t but in the last dates.
+            t, beta = np.arange(1.0, T + 1.0)[:, None], objective.beta
+            shape = (rate**t - rate**T * (beta * rate) ** (T - t)) / (1.0 - beta**T * rate ** (2 * T))
+            np.multiply(x0 - anchor, shape, out=path[1:])
+            path[1:] += anchor
+            return path
+    step = 0.0 if guess == "hold" else (anchor - x0) / T
     lo, hi = objective.limits[:, 0]
     margin = np.minimum(0.25 * (hi - lo), _START_MARGIN)
-    path = np.empty((objective.T + 1, N_CATEGORIES))
-    path[0], path[1:] = objective.x0, np.clip(step, lo + margin, hi - margin)
-    np.add(objective.x0, np.cumsum(path[1:], axis=0), out=path[1:])
+    path[1:] = np.clip(step, lo + margin, hi - margin)
+    np.add(x0, np.cumsum(path[1:], axis=0), out=path[1:])
     return path
+
+
+def _held_horizon(objective: _Objective) -> float:
+    """The horizon T_c of a held try (see ``solve``), or inf where none can pass:
+    T_c = ceil(max_k [ride_k + ln(stop_tol / (gamma_k * |g_k|)) / ln rho_k]) over
+    the categories with a gap g = x0 - anchor. ride_k = |g_k| / (the limit toward
+    the anchor), 0 without one; gamma_k is the larger of gamma_up and gamma_down,
+    and rho_k the rate under w_k alone, which alone resists a move that keeps the
+    total fixed, the slowest tail. A limit of 0 toward the anchor, a rate of 1 or
+    more, a frozen category, or a limit pair whose barrier floor leaves its
+    multipliers _COMP_FLOOR * |1/hi - 1/|lo|| apart at a zero change, above the
+    stop test (the held dates carry none), means no try."""
+    if objective.frozen is not None:
+        return math.inf
+    tol, dates = objective.stop_tol, 1.0
+    lo, hi = objective.limits[:, 0].tolist()
+    kink, skew, _ = (grid[0].tolist() for grid in objective.adjustment)
+    columns = zip(lo, hi, objective.x0.tolist(), objective.anchor.tolist(), kink, skew, objective.allocation[0][0].tolist())
+    for lo_k, hi_k, x0_k, anchor_k, kink_k, skew_k, weight in columns:
+        imbalance = _COMP_FLOOR * abs((1.0 / hi_k if hi_k else math.inf) - (1.0 / -lo_k if lo_k else math.inf))
+        if imbalance > tol:
+            return math.inf
+        size = abs(x0_k - anchor_k)
+        if size == 0.0:
+            continue
+        gamma = kink_k + abs(skew_k)  # the larger of gamma_up and gamma_down
+        rate = _decay_rate(gamma, weight, objective.beta)
+        toward = -lo_k if x0_k > anchor_k else hi_k
+        if not rate < 1.0 or toward == 0.0:
+            return math.inf
+        # A gap whose residual scale already meets the stop test adds no date.
+        scale = gamma * size
+        tail = (math.log(tol) - math.log(scale)) / math.log(rate) if scale > tol and rate > 0.0 else 0.0
+        dates = max(dates, size / toward + tail)
+    return math.ceil(dates) if math.isfinite(dates) else math.inf
 
 
 def _step_to_boundary(values: np.ndarray, steps: np.ndarray) -> Tuple[float, float]:
@@ -337,10 +440,11 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
     reported through ``converged`` and ``termination``, not raised. A
     horizon at which beta^(T/2) falls below the smallest normal float
     raises ``ValidationError``: the Newton system is solved scaled by
-    beta^(t/2), which cannot represent those dates. Past twice
-    ``_HELD_HORIZON`` dates the path past the transition is held at the
-    anchor, kept when its certificate passes the loop's stop test (module
-    docstring).
+    beta^(t/2), which cannot represent those dates. Past T_c dates, which
+    the categories' decay rates set, the path past the transition is held
+    at the anchor and kept when its certificate passes the loop's stop
+    test; one try, so a miss costs one short solve before the full one
+    (module docstring).
     """
     if scenario.beta ** (scenario.horizon / 2.0) < np.finfo(float).tiny:
         raise ValidationError(
@@ -348,12 +452,9 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
             "the smallest normal float; the late dates cannot be solved"
         )
     objective = _Objective(scenario, config)
-    horizon = _HELD_HORIZON
-    # A frozen category is pinned at its baseline, so its anchor is no long-run point to hold.
-    while objective.frozen is None and objective.T > 2 * horizon:
+    horizon = _held_horizon(objective)
+    if objective.T > horizon:
         path, z, history, stopped, _ = _newton(_NewtonSystem(objective.head(horizon)))
-        if stopped != "converged":
-            break
         # Every later date held at the anchor with multipliers 0: the short loop
         # stopped settled, so the loop's stop test reads the certified residuals alone.
         held = np.empty((objective.T + 1, N_CATEGORIES))
@@ -361,11 +462,10 @@ def solve(scenario: Scenario, config: Optional[SolverConfig] = None) -> SolveRep
         if z is not None:
             z = np.concatenate((z, np.zeros((2, objective.T + 1 - len(path), N_CATEGORIES))), axis=1)
         # A path below zero, such as one held at an anchor below zero, is no Trajectory: never kept.
-        if held.min() >= -_NEG_TOL:
+        if stopped == "converged" and held.min() >= -_NEG_TOL:
             report = _certify(objective, held, z, history, stopped)
             if report.gradient_norm <= objective.stop_tol:
                 return report
-        horizon *= 2
     return _certify(objective, *_newton(_NewtonSystem(objective)))
 
 

@@ -192,10 +192,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ([], "simulate_paper_default.csv"),
         ([str(REPO_SCENARIOS / "admin_savings_a.scn")], "simulate_admin_savings_a.csv"),
         ([str(GOLDEN / "asymmetric_variant.scn")], "simulate_asymmetric_variant.csv"),
-        # Past twice 128 dates: the solve holds its short solve's path at the anchor.
+        # Past the preset's T_c of 114 dates: the solve holds its short solve's path at the anchor.
         ([str(GOLDEN / "paper_default_T300.scn")], "simulate_paper_default_T300.csv"),
-        # The asymmetric preset's path held past 128 dates misses the stop test: held from 256.
+        # The asymmetric preset's slower rates hold it from T_c = 144.
         ([str(GOLDEN / "asymmetric_variant_T600.scn")], "simulate_asymmetric_variant_T600.csv"),
+        # T = 200 is held too, from the preset's T_c of 114 dates.
+        ([str(GOLDEN / "paper_default_T200.scn")], "simulate_paper_default_T200.csv"),
     ],
 )
 def test_simulate_csv_matches_golden_file(capsys, scenario_args, golden_name):

@@ -216,35 +216,42 @@ def test_bounded_quadratic_solves_match_bounded_least_squares(scen):
     assert np.abs(report.trajectory.values[1:] - _bvls_oracle(scen)).max() <= 1e-7
 
 
-def _full_solve(scen):
+def _full_solve(scen, config=None):
     """The Newton loop over the scenario's whole horizon, certified: the solve without the hold."""
-    objective = planner._Objective(scen)
+    objective = planner._Objective(scen, config)
     return planner._certify(objective, *planner._newton(planner._NewtonSystem(objective)))
 
 
 HELD_CASES = {
     **{
-        f"preset{'-asymmetric' if asymmetric else ''}{'' if bound is None else '-0.5'}-T{horizon}": preset_scenario(
-            horizon, bound, asymmetric
+        f"preset{'-asymmetric' if asymmetric else ''}{'' if bound is None else '-0.5'}-T{horizon}": (
+            preset_scenario(horizon, bound, asymmetric),
+            None,
         )
         for horizon in (300, 1000, 5000)
         for bound in (None, 0.5)
         for asymmetric in (False, True)
     },
-    **{f"reform-{seed}": reform_scenario(np.random.default_rng(seed), horizon=300) for seed in range(100)},
+    # Just past the preset's T_c of 114 dates, and the asymmetric one's of 157 with limits.
+    **{f"preset-T{horizon}": (preset_scenario(horizon), None) for horizon in (150, 200)},
+    "preset-asymmetric-0.5-T600": (preset_scenario(600, 0.5, asymmetric=True), None),
+    # A tighter stop test holds from T_c = 143.
+    "preset-T1000-gradient_tol-1e-13": (preset_scenario(1000), SolverConfig(gradient_tol=1e-13)),
+    **{f"reform-{seed}": (reform_scenario(np.random.default_rng(seed), horizon=300), None) for seed in range(100)},
 }
 
 
-@pytest.mark.parametrize("scen", HELD_CASES.values(), ids=HELD_CASES.keys())
-def test_a_held_path_matches_the_full_solve(scen):
-    # Past twice 128 dates a solve holds a short solve's path at the anchor
-    # wherever that passes the full horizon's stop test; the full horizon's own
-    # Newton loop is the reference. The widest gap is the +-0.5 preset at
-    # T = 5000, 2.9e-11 at date 7: there the full loop stops at gradient_norm
-    # 9.1e-11, against the held path's 1.4e-12 (at T = 1000 the two are
-    # 6.5e-13 apart). Why the full loop stops that much looser at T = 5000
-    # is not explained.
-    report, reference = solve(scen), _full_solve(scen)
+@pytest.mark.parametrize("scen, config", HELD_CASES.values(), ids=HELD_CASES.keys())
+def test_a_held_path_matches_the_full_solve(scen, config):
+    # Past T_c dates, which each category's decay rate sets (114 for the
+    # preset), a solve holds a short solve's path at the anchor wherever that
+    # passes the full horizon's stop test; the full horizon's own Newton loop
+    # is the reference. The widest gap is the +-0.5 preset at T = 5000,
+    # 2.9e-11 at date 7: there the full loop stops at gradient_norm 9.1e-11,
+    # against the held path's 1.4e-12 (at T = 1000 the two are 6.5e-13
+    # apart). Why the full loop stops that much looser at T = 5000 is not
+    # explained.
+    report, reference = solve(scen, config), _full_solve(scen, config)
     assert report.converged and reference.converged
     assert np.abs(report.trajectory.values - reference.trajectory.values).max() <= 1e-10
     assert report.objective == pytest.approx(reference.objective, rel=1e-12, abs=0.0)

@@ -513,8 +513,36 @@ def test_hold_initial_guess_reaches_same_solution():
     scen = load_default_preset().scenario()
     ramp = solve(scen, SolverConfig(initial_guess="linear-ramp"))
     hold = solve(scen, SolverConfig(initial_guess="hold"))
-    assert ramp.converged and hold.converged
+    decay = solve(scen, SolverConfig(initial_guess="decay"))
+    assert ramp.converged and hold.converged and decay.converged
     assert np.allclose(ramp.trajectory.values, hold.trajectory.values, atol=1e-7)
+    assert np.allclose(ramp.trajectory.values, decay.trajectory.values, atol=1e-7)
+
+
+def _first_guess(scen, guess=None):
+    config = SolverConfig() if guess is None else SolverConfig(initial_guess=guess)
+    return planner._initial_allocations(planner._Objective(scen, config))
+
+
+OVERFLOW = parse_scenario((Path(__file__).resolve().parent / "overflow_singular.scn").read_text(encoding="utf-8"))
+
+
+def test_the_default_guess_is_the_decay_path_without_limits():
+    # Without limits each category starts on its decay path, anchor + (x0 - anchor)
+    # * rho^t in the early dates, closed at the anchor on date T.
+    scen = preset_scenario(50)
+    path, anchor = _first_guess(scen), solve(scen).anchor
+    assert path.tobytes() == _first_guess(scen, "decay").tobytes()
+    assert path.tobytes() != _first_guess(scen, "linear-ramp").tobytes()
+    assert np.array_equal(path[0], scen.baseline.as_array())
+    assert np.abs(path[-1] - anchor).max() <= 1e-12
+    ratios = (path[2:12] - anchor) / (path[1:11] - anchor)
+    assert np.allclose(ratios, ratios[0], rtol=1e-6, atol=0.0)
+    assert ((0.0 < ratios) & (ratios < 1.0)).all()
+    # With finite limits the interior-point start keeps the ramp; so does a
+    # scenario whose rates overflow, which keeps its first guess's overflow.
+    for other in (preset_scenario(50, 0.5), OVERFLOW, dataclasses.replace(scen, delta_bounds=MIXED_LIMITS)):
+        assert _first_guess(other).tobytes() == _first_guess(other, "linear-ramp").tobytes()
 
 
 def test_short_horizons_certify_with_stiff_terminal_weight():
@@ -573,10 +601,11 @@ def test_horizon_past_the_float_range_of_the_discount_is_rejected():
 PINNED_ITERATIONS = [
     ((50, 0.5, False), 8),
     ((300, 0.5, False), 8),
-    ((1000, None, False), 5),
+    ((1000, None, False), 4),
     ((50, None, True), 4),
-    # Held solves, whose iterations are those of the short solve at T = 128.
-    ((5000, None, False), 5),
+    # Held solves, whose iterations are those of the short solve at T_c
+    # (114 dates for the preset, 127 with its +-0.5 limits).
+    ((5000, None, False), 4),
     ((1000, 0.5, False), 8),
 ]
 
@@ -593,10 +622,10 @@ def test_iteration_counts_are_pinned(case, iterations):
 # then the +-0.5 preset at T = 50 and 300. Counts recorded before the step's
 # arithmetic was rewritten, which kept each one.
 CORPUS_ITERATIONS = (
-    10, 6, 15, 5, 12, 6, 9, 6, 13, 5, 10, 5, 10, 6, 10, 6, 12, 5, 8, 5,
-    9, 5, 11, 6, 8, 6, 7, 6, 8, 6, 11, 5, 10, 6, 15, 6, 10, 5, 11, 6,
-    14, 5, 10, 5, 19, 6, 17, 6, 11, 6, 10, 5, 10, 5, 10, 5, 10, 6, 10, 5,
-    14, 7, 9, 5, 11, 5, 11, 6, 11, 6, 10, 6, 10, 4, 10, 6, 8, 4, 13, 5,
+    10, 5, 15, 4, 12, 6, 9, 4, 13, 4, 10, 4, 10, 5, 10, 4, 12, 4, 8, 4,
+    9, 5, 11, 4, 8, 5, 7, 4, 8, 4, 11, 5, 10, 5, 15, 4, 10, 3, 11, 4,
+    14, 5, 10, 5, 19, 5, 17, 4, 11, 4, 10, 5, 10, 4, 10, 5, 10, 4, 10, 5,
+    14, 5, 9, 3, 11, 4, 11, 4, 11, 6, 10, 4, 10, 4, 10, 5, 8, 4, 13, 4,
     8, 8,
 )  # fmt: skip
 
@@ -698,12 +727,11 @@ def _overflowing_scenarios():
     # The rest keep the band finite, but a cost overflows, so the right-hand
     # side of a back-solve is not: at the first guess (the file's case, where
     # eta * d^2 overflows, and the next two) or after one or sixteen steps.
-    overflow = parse_scenario((Path(__file__).resolve().parent / "overflow_singular.scn").read_text(encoding="utf-8"))
     mixed = degenerate.delta_bounds
     return [
         degenerate,
         dataclasses.replace(preset, rigidity=stiff_cubic, horizon=5),
-        overflow,
+        OVERFLOW,
         corner(1e6, 1.0, 1e300, 0.96, 10, None),
         corner(1e150, 1e300, 0.0, 0.5, 2, None),
         corner(1e150, 1.0, 1.0, 0.96, 2, mixed),
@@ -730,8 +758,7 @@ def test_a_band_that_overflows_is_a_singular_stop(scen):
 def test_an_overflowed_residual_is_reported_as_infinite(horizon):
     # The overflowed marginal cost leaves inf - inf in the residual of each
     # date before T; the report reads that as uncertified (inf), never nan.
-    overflow = parse_scenario((Path(__file__).resolve().parent / "overflow_singular.scn").read_text(encoding="utf-8"))
-    report = solve(dataclasses.replace(overflow, horizon=horizon))
+    report = solve(dataclasses.replace(OVERFLOW, horizon=horizon))
     assert (report.termination, report.converged, report.iterations) == ("singular", False, 0)
     assert report.gradient_norm == math.inf
     assert report.max_euler_residual == (0.0 if horizon == 1 else math.inf)
@@ -774,8 +801,9 @@ def test_one_banded_factorisation_per_step(monkeypatch, case):
     # factorise once more than it counts.
     assert report.iterations <= len(factorisations) <= report.iterations + 1
     assert len(report.objective_history) == report.iterations + 1
-    # Past twice 128 dates only the short solve's 128 dates are factorised.
-    assert set(factorisations) == {4 * min(case[0], 128)}
+    # Past T_c dates (114 for the preset, 127 with +-0.5 limits) only the
+    # short solve's T_c dates are factorised.
+    assert set(factorisations) == {4 * min(case[0], {None: 114, 0.5: 127}[case[1]])}
     # Predictor, corrector and at most one centred fallback share the factor;
     # without limits a step is one back-solve.
     if case[1] is None:
@@ -851,6 +879,8 @@ def test_termination_says_why_the_solve_stopped(expected, bounds, cfg):
 
 
 NEGATIVE_ANCHOR = parse_scenario((Path(__file__).resolve().parent / "negative_anchor.scn").read_text(encoding="utf-8"))
+LOPSIDED_LIMITS = ((-0.5, 0.2), (-0.3, 0.5), (-0.1, 0.9), (-0.4, 0.6))
+ONE_SIDED_LIMITS = ((-0.5, 0.0), (-0.5, 0.5), (0.0, 0.5), (0.0, 0.5))
 
 
 @pytest.fixture
@@ -873,21 +903,37 @@ def newton_horizons(monkeypatch):
         # A frozen category's anchor is no long-run point: straight to the full solve.
         (dataclasses.replace(preset_scenario(1000), delta_bounds=MIXED_LIMITS), None, [1000], "converged"),
         # A short solve that does not converge is not retried.
-        (preset_scenario(1000), SolverConfig(max_iterations=1), [128, 1000], "budget_exhausted"),
-        # Held at 128, the asymmetric path's residual at date 128 is 1.01e-10, past the
-        # stop test's 1e-10, so it is held from 256 (at T = 300, not held at all).
-        (preset_scenario(1000, asymmetric=True), None, [128, 256], "converged"),
-        (preset_scenario(300, asymmetric=True), None, [128, 300], "converged"),
+        (preset_scenario(1000), SolverConfig(max_iterations=1), [114, 1000], "budget_exhausted"),
+        # The preset's rates put T_c at 114 dates, so T = 200 is held.
+        (preset_scenario(200), None, [114], "converged"),
+        # The asymmetric preset's slower rates put T_c at 144, held at once.
+        (preset_scenario(1000, asymmetric=True), None, [144], "converged"),
+        (preset_scenario(300, asymmetric=True), None, [144], "converged"),
         # The held path's certificate passes the loop's stop test, its gradient
         # norm within 1e-10, and is kept though it fails the residual tolerance.
-        (preset_scenario(1000), SolverConfig(euler_tol=1e-16), [128], "roundoff_floor"),
-        # The short loop stops at its roundoff floor, unconverged: nothing is held.
-        (preset_scenario(1000), SolverConfig(gradient_tol=1e-13), [128, 1000], "converged"),
-        # Held at the anchor (20, -2, -2, 4), a path is no Trajectory and is not
-        # judged; the full path, which limits of +-0.01 keep nonnegative, is.
-        (dataclasses.replace(NEGATIVE_ANCHOR, horizon=300, delta_bounds=((-0.01, 0.01),) * 4), None, [128, 300], "converged"),
+        (preset_scenario(1000), SolverConfig(euler_tol=1e-16), [114], "roundoff_floor"),
+        # A tighter stop test puts T_c at 143 dates, where the short loop converges.
+        (preset_scenario(1000), SolverConfig(gradient_tol=1e-13), [143], "converged"),
+        # Limits of +-0.01 ride toward the anchor (20, -2, -2, 4) for 2,600 dates:
+        # past the horizon, so there is no held try.
+        (dataclasses.replace(NEGATIVE_ANCHOR, horizon=300, delta_bounds=((-0.01, 0.01),) * 4), None, [300], "converged"),
+        # The barrier floor leaves lopsided or one-sided limits' multipliers apart
+        # by more than the stop test (4.4e-10 for (-0.1, 0.9)): no held try.
+        (dataclasses.replace(preset_scenario(1000), delta_bounds=LOPSIDED_LIMITS), None, [1000], "converged"),
+        (dataclasses.replace(preset_scenario(1000), delta_bounds=ONE_SIDED_LIMITS), None, [1000], "converged"),
     ],
-    ids=["frozen", "budget", "asymmetric-T1000", "asymmetric-T300", "euler_tol-1e-16", "gradient_tol-1e-13", "negative-anchor"],
+    ids=[
+        "frozen",
+        "budget",
+        "T200",
+        "asymmetric-T1000",
+        "asymmetric-T300",
+        "euler_tol-1e-16",
+        "gradient_tol-1e-13",
+        "negative-anchor",
+        "lopsided-limits",
+        "one-sided-limits",
+    ],
 )
 def test_a_long_solve_holds_a_short_one_or_falls_back(newton_horizons, scen, cfg, horizons, termination):
     report = solve(scen, cfg)
@@ -896,6 +942,15 @@ def test_a_long_solve_holds_a_short_one_or_falls_back(newton_horizons, scen, cfg
     # On a held solve the history is the held short solve's, and the objective the full horizon's.
     assert len(report.objective_history) == report.iterations + 1
     assert report.objective == objective_value(report.trajectory, scen, cfg)
+
+
+def test_a_held_path_below_zero_is_skipped_not_judged(newton_horizons):
+    # The file's +-0.5 limits reach the anchor (20, -2, -2, 4) well before T_c = 172.
+    # Held there, a path is no Trajectory: the try is skipped, not certified, and
+    # the full path, which dips below zero too, raises.
+    with pytest.raises(ValidationError, match="negative components"):
+        solve(dataclasses.replace(NEGATIVE_ANCHOR, horizon=300))
+    assert newton_horizons == [172, 300]
 
 
 def _count_calls(monkeypatch, cls, name):
@@ -917,7 +972,7 @@ ONE_OBJECTIVE_CASES = {
         for horizon in (300, 1000, 5000)
         for bound in (None, 0.5)
     },
-    # Held only from 256: the tries at 128 and 256 both read the full objective.
+    # Held at its own T_c of 144 dates.
     "asymmetric-T1000": preset_scenario(1000, asymmetric=True),
 }
 
